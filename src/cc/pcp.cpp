@@ -18,11 +18,7 @@ PriorityCeiling::PriorityCeiling(sim::Kernel& kernel,
                                  std::uint32_t object_count, Options options)
     : ConcurrencyController(kernel),
       options_(options),
-      object_count_(object_count),
-      write_ceiling_(object_count, Priority::lowest()),
-      abs_ceiling_(object_count, Priority::lowest()),
-      decls_(object_count),
-      lock_slots_(object_count) {}
+      object_count_(object_count) {}
 
 PriorityCeiling::~PriorityCeiling() {
   assert(waiters_.empty() && "destroyed with blocked transactions");
@@ -30,6 +26,14 @@ PriorityCeiling::~PriorityCeiling() {
 
 void PriorityCeiling::do_begin(CcTxn& txn) {
   assert(!active_.contains(txn.id));
+  if (lock_slots_.empty()) {
+    // First transaction: size the per-object tables now, so an instance
+    // that never sees one (a standby ceiling manager) allocates nothing.
+    write_ceiling_.assign(object_count_, Priority::lowest());
+    abs_ceiling_.assign(object_count_, Priority::lowest());
+    decls_.resize(object_count_);
+    lock_slots_.resize(object_count_);
+  }
   active_.emplace(txn.id, &txn);
   add_declarations(txn);
   // New declarations only *raise* ceilings, so nothing becomes grantable —
@@ -145,7 +149,7 @@ std::string_view PriorityCeiling::name() const {
 
 bool PriorityCeiling::holds(const CcTxn& txn, db::ObjectId object,
                             LockMode mode) const {
-  if (object >= object_count_) return false;
+  if (object >= lock_slots_.size()) return false;
   const LockState& lock = lock_slots_[object];
   if (lock.writer == &txn) return true;  // a write lock covers reads too
   if (effective_mode(mode) == LockMode::kWrite) return false;
@@ -179,7 +183,7 @@ bool PriorityCeiling::quiescent(std::string* why) const {
   if (!waiters_.empty()) {
     return fail(std::to_string(waiters_.size()) + " waiters still queued");
   }
-  for (db::ObjectId o = 0; o < object_count_; ++o) {
+  for (db::ObjectId o = 0; o < write_ceiling_.size(); ++o) {
     if (write_ceiling_[o] != Priority::lowest() ||
         abs_ceiling_[o] != Priority::lowest()) {
       return fail("stale ceiling on object " + std::to_string(o));
@@ -190,24 +194,26 @@ bool PriorityCeiling::quiescent(std::string* why) const {
 
 Priority PriorityCeiling::write_ceiling(db::ObjectId object) const {
   assert(object < object_count_);
+  if (object >= write_ceiling_.size()) return Priority::lowest();
   return options_.exclusive_only ? abs_ceiling_[object]
                                  : write_ceiling_[object];
 }
 
 Priority PriorityCeiling::absolute_ceiling(db::ObjectId object) const {
   assert(object < object_count_);
+  if (object >= abs_ceiling_.size()) return Priority::lowest();
   return abs_ceiling_[object];
 }
 
 std::optional<Priority> PriorityCeiling::rw_ceiling(db::ObjectId object) const {
-  if (object >= object_count_ || lock_slots_[object].empty()) {
+  if (object >= lock_slots_.size() || lock_slots_[object].empty()) {
     return std::nullopt;
   }
   return lock_slots_[object].rw_ceiling;
 }
 
 bool PriorityCeiling::is_locked(db::ObjectId object) const {
-  return object < object_count_ && !lock_slots_[object].empty();
+  return object < lock_slots_.size() && !lock_slots_[object].empty();
 }
 
 std::vector<db::TxnId> PriorityCeiling::lower_priority_blockers_of(

@@ -163,6 +163,8 @@ class PriorityCeiling : public ConcurrencyController {
 
   Options options_;
   std::uint32_t object_count_;
+  // The per-object tables below are empty until the first transaction
+  // begins (see do_begin).
   std::vector<sim::Priority> write_ceiling_;
   std::vector<sim::Priority> abs_ceiling_;
   std::vector<sim::InlineVec<Declarer, 4>> decls_;  // indexed by object

@@ -270,7 +270,7 @@ void System::build_global_ceiling() {
       // nothing else removes its mirror from a surviving manager.
       site.manager = std::make_unique<dist::GlobalCeilingManager>(
           *site.server, *site.rpc_dispatcher, config_.db_objects,
-          site.channel.get(), id == kManagerSite, faulty, site.batch.get());
+          id == kManagerSite, faulty);
     }
     if (failover) {
       site.failover = std::make_unique<dist::FailoverCoordinator>(
@@ -410,8 +410,7 @@ void System::build_partitioned_ceiling() {
     // One handler slot per message type per site: the router owns them all
     // and demultiplexes on the shard field.
     site.router = std::make_unique<dist::ShardRouter>(
-        *site.server, *site.rpc_dispatcher, shards, site.channel.get(),
-        site.batch.get());
+        *site.server, *site.rpc_dispatcher, shards);
     site.shard_managers.resize(shards);
     site.shard_failovers.resize(shards);
     for (std::uint32_t shard = 0; shard < shards; ++shard) {

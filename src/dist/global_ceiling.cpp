@@ -12,41 +12,21 @@ using net::SiteId;
 GlobalCeilingManager::GlobalCeilingManager(net::MessageServer& server,
                                            net::RpcDispatcher& rpc,
                                            std::uint32_t object_count,
-                                           net::ReliableChannel* channel,
-                                           bool active, bool reap_orphans,
-                                           net::BatchChannel* batch)
+                                           bool active, bool reap_orphans)
     : server_(server),
       pcp_(server.kernel(), object_count),
-      channel_(channel),
       active_(active),
       reap_orphans_(reap_orphans) {
   install_hooks();
-  // Through the batch channel when given (unpacks coalesced frames and
-  // registers the layers below), else through the reliable channel
-  // (registers the raw handlers too), so retransmitted control messages
-  // arrive deduplicated.
-  auto on_register = [this](SiteId from, RegisterTxnMsg message) {
+  server_.on<RegisterTxnMsg>([this](SiteId from, RegisterTxnMsg message) {
     handle_register(from, std::move(message));
-  };
-  auto on_release = [this](SiteId /*from*/, ReleaseAllMsg message) {
+  });
+  server_.on<ReleaseAllMsg>([this](SiteId /*from*/, ReleaseAllMsg message) {
     handle_release(message);
-  };
-  auto on_end = [this](SiteId /*from*/, EndTxnMsg message) {
+  });
+  server_.on<EndTxnMsg>([this](SiteId /*from*/, EndTxnMsg message) {
     handle_end(message);
-  };
-  if (batch != nullptr) {
-    batch->on<RegisterTxnMsg>(on_register);
-    batch->on<ReleaseAllMsg>(on_release);
-    batch->on<EndTxnMsg>(on_end);
-  } else if (channel_ != nullptr) {
-    channel_->on<RegisterTxnMsg>(on_register);
-    channel_->on<ReleaseAllMsg>(on_release);
-    channel_->on<EndTxnMsg>(on_end);
-  } else {
-    server_.on<RegisterTxnMsg>(on_register);
-    server_.on<ReleaseAllMsg>(on_release);
-    server_.on<EndTxnMsg>(on_end);
-  }
+  });
   rpc.on<AcquireReq>([this](SiteId /*from*/, AcquireReq request,
                             net::RpcServer::Responder respond) {
     handle_acquire(std::move(request), std::move(respond));
@@ -266,7 +246,7 @@ void GlobalCeilingManager::handle_acquire(AcquireReq request,
       (request.attempt > 0 && it->second->attempt > 0 &&
        it->second->attempt != request.attempt)) {
     ++denials_;
-    respond(std::any{AcquireResp{false, lease_term_}});
+    respond(AcquireResp{false, lease_term_});
     return;
   }
   if (fenced_) {
@@ -276,14 +256,14 @@ void GlobalCeilingManager::handle_acquire(AcquireReq request,
     // the current held sets.
     ++denials_;
     ++fence_denials_;
-    respond(std::any{AcquireResp{false, lease_term_}});
+    respond(AcquireResp{false, lease_term_});
     return;
   }
   Mirror& mirror = *it->second;
   // Re-issued request for a lock this attempt already holds (the grant's
   // reply was lost): answer immediately, idempotently.
   if (pcp_.holds(mirror.ctx, request.object, request.mode)) {
-    respond(std::any{AcquireResp{true, lease_term_}});
+    respond(AcquireResp{true, lease_term_});
     return;
   }
   // Re-issued request while the original grant is still being served:
@@ -326,13 +306,13 @@ sim::Task<void> GlobalCeilingManager::serve_acquire(
         ++self->fence_denials_;
       }
       if (!granted) ++self->denials_;
-      respond(std::any{AcquireResp{granted, self->lease_term_}});
+      respond(AcquireResp{granted, self->lease_term_});
       if (auto it = mirror->inflight.find(object);
           it != mirror->inflight.end()) {
         auto extras = std::move(it->second);
         mirror->inflight.erase(it);
         for (net::RpcServer::Responder& extra : extras) {
-          extra(std::any{AcquireResp{granted, self->lease_term_}});
+          extra(AcquireResp{granted, self->lease_term_});
         }
       }
       if (granted && self->observer_ != nullptr) {
@@ -434,10 +414,10 @@ sim::Task<void> GlobalCeilingClient::acquire(cc::CcTxn& txn,
   // window; push it out before blocking on the manager's answer.
   if (batch_ != nullptr) batch_->flush(manager_site_);
   if (acquire_timeout_.is_zero()) {
-    std::optional<std::any> response =
-        co_await rpc_.call(manager_site_, std::any{request});
+    std::optional<net::Payload> response =
+        co_await rpc_.call(manager_site_, request);
     assert(response.has_value());  // no client-side timeout in use
-    resp = std::any_cast<AcquireResp>(*response);
+    resp = response->get<AcquireResp>();
   } else {
     // Faulty runs: the manager may have crashed (no reply ever) or the
     // request/reply may have been dropped. Re-issue until an answer comes
@@ -448,13 +428,13 @@ sim::Task<void> GlobalCeilingClient::acquire(cc::CcTxn& txn,
       // After a failover, the re-registration may be queued for the new
       // manager; it must land before this re-issued request.
       if (batch_ != nullptr) batch_->flush(manager_site_);
-      std::optional<std::any> response = co_await rpc_.call(
-          manager_site_, std::any{request}, acquire_timeout_);
+      std::optional<net::Payload> response =
+          co_await rpc_.call(manager_site_, request, acquire_timeout_);
       if (!response.has_value()) {
         ++acquire_retries_;
         continue;
       }
-      resp = std::any_cast<AcquireResp>(*response);
+      resp = response->get<AcquireResp>();
       if (resp.term < term_) {
         // The response is stamped with an expired term: it came from a
         // manager that lost an election we already learned about (e.g. a
@@ -557,7 +537,7 @@ DataServer::DataServer(net::MessageServer& server, net::RpcDispatcher& rpc,
   rpc.on<DataReadReq>([this](SiteId /*from*/, DataReadReq request,
                              net::RpcServer::Responder respond) {
     ++remote_reads_;
-    respond(std::any{DataReadResp{rm_.current(request.object)}});
+    respond(DataReadResp{rm_.current(request.object)});
   });
 }
 
@@ -593,8 +573,7 @@ sim::Task<void> GlobalExecutor::run(txn::AttemptContext& attempt,
     } else {
       // Partitioned placement, remote primary copy: one round trip.
       auto response = co_await services_.rpc->call(
-          services_.schema->primary_site(op.object),
-          std::any{DataReadReq{op.object}});
+          services_.schema->primary_site(op.object), DataReadReq{op.object});
       assert(response.has_value());
       (void)response;
     }

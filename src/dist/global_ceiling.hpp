@@ -103,26 +103,19 @@ struct WriteSetMsg {
 // kernel process blocked inside the embedded PriorityCeiling instance.
 class GlobalCeilingManager {
  public:
-  GlobalCeilingManager(net::MessageServer& server, net::RpcDispatcher& rpc,
-                       std::uint32_t object_count)
-      : GlobalCeilingManager(server, rpc, object_count, nullptr, true, false) {}
   // With failover, every site hosts a manager instance but only the
-  // elected one is `active`; control messages optionally travel over the
-  // site's ReliableChannel. An inactive manager ignores registrations and
+  // elected one is `active`. An inactive manager ignores registrations and
   // denies acquires (the client retries against the real manager).
   // `reap_orphans` arms the deadline-based orphan reaper — required under
   // faults (a partition can eat a dead transaction's ReleaseAll/EndTxn for
   // longer than the retransmit budget, leaving its mirror and any blocked
   // grant stuck here forever) and left off in fault-free runs so no extra
-  // kernel events exist and artifacts stay byte-identical.
-  // `batch` non-null routes the handler registrations through the site's
-  // BatchChannel so coalesced control frames are unpacked (the channel is
-  // an exact passthrough when its window is zero).
+  // kernel events exist and artifacts stay byte-identical. The handlers
+  // are registered on the server, so control messages arrive the same way
+  // whether they travel raw, in batch frames or reliably wrapped.
   GlobalCeilingManager(net::MessageServer& server, net::RpcDispatcher& rpc,
-                       std::uint32_t object_count,
-                       net::ReliableChannel* channel, bool active,
-                       bool reap_orphans = false,
-                       net::BatchChannel* batch = nullptr);
+                       std::uint32_t object_count, bool active = true,
+                       bool reap_orphans = false);
 
   // Routed mode (the partitioned scheme): the manager registers NO
   // handlers — a per-site ShardRouter owns the per-type handler slots and
@@ -233,7 +226,6 @@ class GlobalCeilingManager {
 
   net::MessageServer& server_;
   cc::PriorityCeiling pcp_;
-  net::ReliableChannel* channel_ = nullptr;
   LeaseObserver* observer_ = nullptr;
   bool active_ = true;
   bool fenced_ = false;

@@ -10,48 +10,27 @@ using net::SiteId;
 // ---- ShardRouter ----
 
 ShardRouter::ShardRouter(net::MessageServer& server, net::RpcDispatcher& rpc,
-                         std::uint32_t shards, net::ReliableChannel* channel,
-                         net::BatchChannel* batch)
+                         std::uint32_t shards)
     : server_(server),
       shards_(shards),
       managers_(shards, nullptr),
       failovers_(shards, nullptr) {
   assert(shards >= 1);
-  auto on_register = [this](SiteId from, RegisterTxnMsg message) {
+  server_.on<RegisterTxnMsg>([this](SiteId from, RegisterTxnMsg message) {
     route_register(from, std::move(message));
-  };
-  auto on_release = [this](SiteId /*from*/, ReleaseAllMsg message) {
+  });
+  server_.on<ReleaseAllMsg>([this](SiteId /*from*/, ReleaseAllMsg message) {
     route_release(message);
-  };
-  auto on_end = [this](SiteId /*from*/, EndTxnMsg message) {
+  });
+  server_.on<EndTxnMsg>([this](SiteId /*from*/, EndTxnMsg message) {
     route_end(message);
-  };
-  if (batch != nullptr) {
-    batch->on<RegisterTxnMsg>(on_register);
-    batch->on<ReleaseAllMsg>(on_release);
-    batch->on<EndTxnMsg>(on_end);
-  } else if (channel != nullptr) {
-    channel->on<RegisterTxnMsg>(on_register);
-    channel->on<ReleaseAllMsg>(on_release);
-    channel->on<EndTxnMsg>(on_end);
-  } else {
-    server_.on<RegisterTxnMsg>(on_register);
-    server_.on<ReleaseAllMsg>(on_release);
-    server_.on<EndTxnMsg>(on_end);
-  }
-  auto on_beat = [this](SiteId from, HeartbeatMsg msg) {
+  });
+  server_.on<HeartbeatMsg>([this](SiteId from, HeartbeatMsg msg) {
     route_view(from, msg.term, msg.manager, msg.shard);
-  };
-  auto on_elected = [this](SiteId from, ManagerElectedMsg msg) {
+  });
+  server_.on<ManagerElectedMsg>([this](SiteId from, ManagerElectedMsg msg) {
     route_view(from, msg.term, msg.manager, msg.shard);
-  };
-  if (batch != nullptr) {
-    batch->on<HeartbeatMsg>(on_beat);
-    batch->on<ManagerElectedMsg>(on_elected);
-  } else {
-    server_.on<HeartbeatMsg>(on_beat);
-    server_.on<ManagerElectedMsg>(on_elected);
-  }
+  });
   rpc.on<AcquireReq>([this](SiteId /*from*/, AcquireReq request,
                             net::RpcServer::Responder respond) {
     route_acquire(std::move(request), std::move(respond));
@@ -101,7 +80,7 @@ void ShardRouter::route_acquire(AcquireReq request,
                                 net::RpcServer::Responder respond) {
   if (request.shard >= shards_) {
     ++misrouted_;
-    respond(std::any{AcquireResp{false, 0}});
+    respond(AcquireResp{false, 0});
     return;
   }
   GlobalCeilingManager* manager = managers_[request.shard];
@@ -109,7 +88,7 @@ void ShardRouter::route_acquire(AcquireReq request,
     // No endpoint for this shard here (fault-free single-host layout, or
     // a standby never wired): deny; the client re-targets on its next
     // election view.
-    respond(std::any{AcquireResp{false, 0}});
+    respond(AcquireResp{false, 0});
     return;
   }
   manager->route_acquire(std::move(request), std::move(respond));
@@ -187,22 +166,22 @@ sim::Task<void> PartitionedCeilingClient::acquire(cc::CcTxn& txn,
   // window; push it out before blocking on the shard manager's answer.
   if (batch_ != nullptr) batch_->flush(sh.manager_site);
   if (options_.acquire_timeout.is_zero()) {
-    std::optional<std::any> response =
-        co_await rpc_.call(sh.manager_site, std::any{request});
+    std::optional<net::Payload> response =
+        co_await rpc_.call(sh.manager_site, request);
     assert(response.has_value());  // no client-side timeout in use
-    resp = std::any_cast<AcquireResp>(*response);
+    resp = response->get<AcquireResp>();
   } else {
     // Faulty runs: re-issue until an answer comes back; after a failover
     // sh.manager_site already points at the shard's successor.
     while (true) {
       if (batch_ != nullptr) batch_->flush(sh.manager_site);
-      std::optional<std::any> response = co_await rpc_.call(
-          sh.manager_site, std::any{request}, options_.acquire_timeout);
+      std::optional<net::Payload> response = co_await rpc_.call(
+          sh.manager_site, request, options_.acquire_timeout);
       if (!response.has_value()) {
         ++acquire_retries_;
         continue;
       }
-      resp = std::any_cast<AcquireResp>(*response);
+      resp = response->get<AcquireResp>();
       if (resp.term < sh.term) {
         // Stamped with an expired term for this shard: a fenced-off old
         // manager answered a retried request. Never act on it.

@@ -28,8 +28,7 @@ namespace rtdb::dist {
 class ShardRouter {
  public:
   ShardRouter(net::MessageServer& server, net::RpcDispatcher& rpc,
-              std::uint32_t shards, net::ReliableChannel* channel,
-              net::BatchChannel* batch);
+              std::uint32_t shards);
 
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;

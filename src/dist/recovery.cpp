@@ -6,19 +6,11 @@ RecoveryManager::RecoveryManager(net::MessageServer& server,
                                  db::ResourceManager& rm, Options options,
                                  net::ReliableChannel* channel)
     : server_(server), rm_(rm), options_(options), channel_(channel) {
-  auto on_request = [this](net::SiteId from, SyncRequestMsg) {
-    serve_sync_request(from);
-  };
-  auto on_reply = [this](net::SiteId from, SyncReplyMsg reply) {
+  server_.on<SyncRequestMsg>(
+      [this](net::SiteId from, SyncRequestMsg) { serve_sync_request(from); });
+  server_.on<SyncReplyMsg>([this](net::SiteId from, SyncReplyMsg reply) {
     apply_sync_reply(from, std::move(reply));
-  };
-  if (channel_ != nullptr) {
-    channel_->on<SyncRequestMsg>(on_request);
-    channel_->on<SyncReplyMsg>(on_reply);
-  } else {
-    server_.on<SyncRequestMsg>(on_request);
-    server_.on<SyncReplyMsg>(on_reply);
-  }
+  });
 }
 
 RecoveryManager::~RecoveryManager() {

@@ -8,19 +8,11 @@ ReplicationManager::ReplicationManager(net::MessageServer& server,
                                        db::ResourceManager& rm,
                                        net::ReliableChannel* channel)
     : server_(server), rm_(rm), channel_(channel) {
-  // channel->on also registers the raw handler, so legacy senders and the
-  // disabled-channel path keep working unchanged.
-  if (channel_ != nullptr) {
-    channel_->on<ReplicaUpdateMsg>(
-        [this](net::SiteId /*from*/, ReplicaUpdateMsg message) {
-          apply(message);
-        });
-  } else {
-    server_.on<ReplicaUpdateMsg>(
-        [this](net::SiteId /*from*/, ReplicaUpdateMsg message) {
-          apply(message);
-        });
-  }
+  // Raw and reliably wrapped updates alike reach this one handler.
+  server_.on<ReplicaUpdateMsg>(
+      [this](net::SiteId /*from*/, ReplicaUpdateMsg message) {
+        apply(message);
+      });
 }
 
 void ReplicationManager::propagate(std::span<const db::ObjectId> objects,

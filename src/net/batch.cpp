@@ -1,5 +1,6 @@
 #include "net/batch.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace rtdb::net {
@@ -8,23 +9,24 @@ BatchChannel::BatchChannel(MessageServer& server, ReliableChannel* channel,
                            Options options)
     : server_(server), channel_(channel), options_(options) {
   if (!enabled()) return;  // passthrough: no handler slot, no timer, ever
-  auto handler = [this](SiteId from, BatchMsg frame) {
-    handle_frame(from, std::move(frame));
-  };
-  if (channel_ != nullptr) {
-    channel_->on<BatchMsg>(std::move(handler));
-  } else {
-    server_.on<BatchMsg>(std::move(handler));
-  }
+  queues_.resize(server_.network().site_count());
+  server_.on<BatchMsg>(
+      [this](SiteId from, BatchMsg frame) { handle_frame(from, frame); });
 }
 
 BatchChannel::~BatchChannel() {
   if (timer_armed_) server_.kernel().cancel_event(timer_);
 }
 
-void BatchChannel::enqueue(SiteId to, std::any payload, bool reliable) {
-  Queues& queues = queued_[to];
-  (reliable ? queues.reliable : queues.raw).push_back(std::move(payload));
+void BatchChannel::enqueue(SiteId to, Payload payload, bool reliable) {
+  Queues& queues = queues_[to];
+  if (queues.reliable.empty() && queues.raw.empty()) pending_.push_back(to);
+  std::vector<Payload>& items = reliable ? queues.reliable : queues.raw;
+  if (items.capacity() == 0 && !spare_.empty()) {
+    items = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  items.push_back(std::move(payload));
   ++batched_messages_;
   if (!timer_armed_) {
     timer_armed_ = true;
@@ -36,45 +38,45 @@ void BatchChannel::enqueue(SiteId to, std::any payload, bool reliable) {
 }
 
 void BatchChannel::flush(SiteId to) {
-  auto it = queued_.find(to);
-  if (it == queued_.end()) return;
-  flush_queues(to, it->second);
-  queued_.erase(it);
+  const auto it = std::find(pending_.begin(), pending_.end(), to);
+  if (it == pending_.end()) return;
+  pending_.erase(it);
+  flush_queues(to);
 }
 
-void BatchChannel::flush_queues(SiteId to, Queues& queues) {
+void BatchChannel::flush_queues(SiteId to) {
   // Reliable frame first: an election result queued reliably must not be
   // overtaken by the raw heartbeats of the same window.
-  if (!queues.reliable.empty()) {
-    ++batch_flushes_;
-    if (channel_ != nullptr) {
-      channel_->send(to, BatchMsg{std::move(queues.reliable)});
-    } else {
-      server_.send(to, BatchMsg{std::move(queues.reliable)});
-    }
-  }
-  if (!queues.raw.empty()) {
-    ++batch_flushes_;
-    server_.send(to, BatchMsg{std::move(queues.raw)});
+  Queues& queues = queues_[to];
+  if (!queues.reliable.empty()) send_frame(to, queues.reliable, true);
+  if (!queues.raw.empty()) send_frame(to, queues.raw, false);
+}
+
+void BatchChannel::send_frame(SiteId to, std::vector<Payload>& items,
+                              bool reliable) {
+  ++batch_flushes_;
+  BatchMsg frame{std::move(items)};
+  if (reliable && channel_ != nullptr) {
+    channel_->send(to, std::move(frame));
+  } else {
+    server_.send(to, std::move(frame));
   }
 }
 
 void BatchChannel::on_timer() {
   // Ascending destination order keeps the delivery schedule a pure
-  // function of (config, seed).
-  auto queued = std::move(queued_);
-  queued_.clear();
-  for (auto& [to, queues] : queued) flush_queues(to, queues);
+  // function of (config, seed). Sending a frame never queues another
+  // payload here, so pending_ is stable while it is walked.
+  std::sort(pending_.begin(), pending_.end());
+  for (const SiteId to : pending_) flush_queues(to);
+  pending_.clear();
 }
 
-void BatchChannel::handle_frame(SiteId from, BatchMsg frame) {
-  for (std::any& item : frame.items) {
-    auto it = unpackers_.find(std::type_index{item.type()});
-    if (it == unpackers_.end()) {
-      ++unroutable_;
-      continue;
-    }
-    it->second(from, std::move(item));
+void BatchChannel::handle_frame(SiteId from, BatchMsg& frame) {
+  for (Payload& item : frame.items) server_.dispatch(from, item);
+  if (spare_.size() < queues_.size()) {
+    frame.items.clear();
+    spare_.push_back(std::move(frame.items));
   }
 }
 
@@ -83,7 +85,11 @@ void BatchChannel::on_crash() {
     server_.kernel().cancel_event(timer_);
     timer_armed_ = false;
   }
-  queued_.clear();
+  for (const SiteId to : pending_) {
+    queues_[to].reliable.clear();
+    queues_[to].raw.clear();
+  }
+  pending_.clear();
 }
 
 }  // namespace rtdb::net

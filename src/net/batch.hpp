@@ -1,14 +1,10 @@
 #pragma once
 
-#include <any>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
-#include <typeindex>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "net/payload.hpp"
 #include "net/reliable.hpp"
 
 namespace rtdb::net {
@@ -17,7 +13,7 @@ namespace rtdb::net {
 // flush window, delivered (and retransmitted, on the reliable pathway) as
 // a unit and unpacked in enqueue order at the receiver.
 struct BatchMsg {
-  std::vector<std::any> items;
+  std::vector<Payload> items;
 };
 
 // Control-message batching on top of the ReliableChannel. The ceiling
@@ -38,6 +34,9 @@ struct BatchMsg {
 // A disabled channel (window == zero, the default) forwards everything
 // verbatim to the layer below and registers no BatchMsg handler —
 // bit-identical to a build without it. Intra-site sends always bypass.
+// The channel keeps no handler registry: each unpacked item goes back to
+// the server's table. Frame buffers are recycled: an unpacked frame's
+// item vector, emptied, becomes the next frame this site queues.
 //
 // At most one BatchChannel per MessageServer (it owns the BatchMsg
 // handler slot when enabled).
@@ -59,48 +58,35 @@ class BatchChannel {
   BatchChannel& operator=(const BatchChannel&) = delete;
 
   // Registers the handler for payloads of type T, arriving either
-  // directly (unbatched sender / disabled channel) or inside a BatchMsg
-  // frame. One handler per type, shared with the layers below.
-  template <typename T>
-  void on(std::function<void(SiteId from, T message)> handler) {
-    auto shared = std::make_shared<std::function<void(SiteId, T)>>(
-        std::move(handler));
-    auto direct = [shared](SiteId from, T message) {
-      (*shared)(from, std::move(message));
-    };
-    if (channel_ != nullptr) {
-      channel_->on<T>(std::move(direct));
-    } else {
-      server_.on<T>(std::move(direct));
-    }
-    unpackers_.emplace(std::type_index{typeid(T)},
-                       [shared](SiteId from, std::any payload) {
-                         (*shared)(from, std::any_cast<T>(std::move(payload)));
-                       });
+  // directly (unbatched sender / disabled channel), inside a BatchMsg frame
+  // or inside a reliable wrapper. The same as registering it on the server.
+  template <typename T, typename F>
+  void on(F handler) {
+    server_.on<T>(std::move(handler));
   }
 
   // Reliable pathway (registrations, releases, election results).
   template <typename T>
-  void send(SiteId to, T message) {
+  void send(SiteId to, T&& message) {
     if (!enabled() || to == server_.site()) {
       if (channel_ != nullptr) {
-        channel_->send(to, std::move(message));
+        channel_->send(to, std::forward<T>(message));
       } else {
-        server_.send(to, std::move(message));
+        server_.send(to, std::forward<T>(message));
       }
       return;
     }
-    enqueue(to, std::any{std::move(message)}, /*reliable=*/true);
+    enqueue(to, Payload{std::forward<T>(message)}, /*reliable=*/true);
   }
 
   // Fire-and-forget pathway (heartbeats).
   template <typename T>
-  void send_raw(SiteId to, T message) {
+  void send_raw(SiteId to, T&& message) {
     if (!enabled() || to == server_.site()) {
-      server_.send(to, std::move(message));
+      server_.send(to, std::forward<T>(message));
       return;
     }
-    enqueue(to, std::any{std::move(message)}, /*reliable=*/false);
+    enqueue(to, Payload{std::forward<T>(message)}, /*reliable=*/false);
   }
 
   // Flushes everything queued for `to` right now. Callers that are about
@@ -120,27 +106,30 @@ class BatchChannel {
 
  private:
   struct Queues {
-    std::vector<std::any> reliable;
-    std::vector<std::any> raw;
+    std::vector<Payload> reliable;
+    std::vector<Payload> raw;
   };
 
-  void enqueue(SiteId to, std::any payload, bool reliable);
-  void flush_queues(SiteId to, Queues& queues);
+  void enqueue(SiteId to, Payload payload, bool reliable);
+  void flush_queues(SiteId to);
+  void send_frame(SiteId to, std::vector<Payload>& items, bool reliable);
   void on_timer();
-  void handle_frame(SiteId from, BatchMsg frame);
+  void handle_frame(SiteId from, BatchMsg& frame);
 
   MessageServer& server_;
   ReliableChannel* channel_;
   Options options_;
-  std::unordered_map<std::type_index, std::function<void(SiteId, std::any)>>
-      unpackers_;
-  // Ordered so a timer flush walks destinations deterministically.
-  std::map<SiteId, Queues> queued_;
+  // By destination site; sized on the first enqueue.
+  std::vector<Queues> queues_;
+  // Destinations with queued payloads, in first-enqueue order.
+  std::vector<SiteId> pending_;
+  // Emptied item vectors of unpacked frames, reused by the next frames
+  // queued here (bounded by the site count).
+  std::vector<std::vector<Payload>> spare_;
   bool timer_armed_ = false;
   sim::EventId timer_{};
   std::uint64_t batched_messages_ = 0;
   std::uint64_t batch_flushes_ = 0;
-  std::uint64_t unroutable_ = 0;
 };
 
 }  // namespace rtdb::net

@@ -1,5 +1,7 @@
 #include "net/message_server.hpp"
 
+#include <cassert>
+
 namespace rtdb::net {
 
 MessageServer::MessageServer(sim::Kernel& kernel, Network& network, SiteId site)
@@ -23,6 +25,22 @@ void MessageServer::stop() {
   if (kernel_.alive(dispatcher_)) kernel_.kill(dispatcher_);
 }
 
+void MessageServer::install(MsgTag tag, Handler handler) {
+  if (tag >= handlers_.size()) handlers_.resize(tag + 1);
+  assert(!handlers_[tag] && "handler for this message type already registered");
+  handlers_[tag] = std::move(handler);
+}
+
+void MessageServer::dispatch(SiteId from, Payload& payload) {
+  const MsgTag tag = payload.tag();
+  if (tag >= handlers_.size() || !handlers_[tag]) {
+    ++unhandled_;
+    return;
+  }
+  ++dispatched_;
+  handlers_[tag](from, payload);
+}
+
 sim::Task<void> MessageServer::dispatch_loop() {
   auto& inbox = network_.inbox(site_);
   for (;;) {
@@ -30,13 +48,7 @@ sim::Task<void> MessageServer::dispatch_loop() {
     // "When the MS retrieves a message, it wakes the sender process and
     // forwards the message to the proper servers or TM."
     if (envelope->on_retrieved) envelope->on_retrieved();
-    auto it = handlers_.find(std::type_index{envelope->body.type()});
-    if (it == handlers_.end()) {
-      ++unhandled_;
-      continue;
-    }
-    ++dispatched_;
-    it->second(std::move(*envelope));
+    dispatch(envelope->from, envelope->body);
   }
 }
 

@@ -1,13 +1,12 @@
 #pragma once
 
-#include <any>
-#include <cassert>
 #include <functional>
 #include <string>
-#include <typeindex>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "net/network.hpp"
+#include "net/payload.hpp"
 #include "sim/kernel.hpp"
 #include "sim/semaphore.hpp"
 #include "sim/task.hpp"
@@ -18,6 +17,12 @@ namespace rtdb::net {
 // process that listens on the site's inbox and forwards each message to the
 // handler registered for its payload type (the paper's "forwards the
 // message to the proper servers or TM").
+//
+// The server holds the site's only handler table, indexed by message tag.
+// The layers that wrap payloads (ReliableChannel, BatchChannel) register
+// handlers for their wrapper types and hand each unwrapped payload back to
+// dispatch(), so one registration serves a payload whether it arrives on
+// its own, inside a batch frame, or inside a reliable wrapper.
 //
 // Handlers run synchronously in the dispatcher; work that needs to block
 // must spawn its own process (the transaction manager does).
@@ -33,24 +38,27 @@ class MessageServer {
   sim::Kernel& kernel() { return kernel_; }
   Network& network() { return network_; }
 
-  // Registers the handler for payloads of type T. One handler per type.
-  template <typename T>
-  void on(std::function<void(SiteId from, T message)> handler) {
-    const bool inserted =
-        handlers_
-            .emplace(std::type_index{typeid(T)},
-                     [handler = std::move(handler)](Envelope env) {
-                       handler(env.from, std::any_cast<T>(std::move(env.body)));
-                     })
-            .second;
-    assert(inserted && "handler for this message type already registered");
-    (void)inserted;
+  // Registers the handler for payloads of type T, called as
+  // handler(SiteId from, T message). One handler per type.
+  template <typename T, typename F>
+  void on(F handler) {
+    install(msg_tag<T>(),
+            [handler = std::move(handler)](SiteId from,
+                                           Payload& payload) mutable {
+              handler(from, std::move(payload.get<T>()));
+            });
   }
+
+  // Hands `payload` to the handler registered for its type, or counts it
+  // as unhandled. The dispatcher calls this for every message it
+  // retrieves; the channels call it for every payload they unwrap.
+  void dispatch(SiteId from, Payload& payload);
 
   // Fire-and-forget send to `to`'s message server.
   template <typename T>
-  void send(SiteId to, T message) {
-    network_.send(Envelope{site_, to, std::any{std::move(message)}, nullptr});
+  void send(SiteId to, T&& message) {
+    network_.send(
+        Envelope{site_, to, Payload{std::forward<T>(message)}, nullptr});
   }
 
   // Rendezvous send: completes with true once the destination Message
@@ -60,7 +68,7 @@ class MessageServer {
   template <typename T>
   sim::Task<bool> send_sync(SiteId to, T message, sim::Duration timeout) {
     auto ack = std::make_shared<sim::Semaphore>(kernel_, 0);
-    network_.send(Envelope{site_, to, std::any{std::move(message)},
+    network_.send(Envelope{site_, to, Payload{std::move(message)},
                            [ack] { ack->release(); }});
     const sim::WakeStatus status = co_await ack->acquire_for(timeout);
     co_return status == sim::WakeStatus::kOk;
@@ -73,16 +81,23 @@ class MessageServer {
   void stop();
   bool running() const { return running_; }
 
+  // Payloads handed to a handler (a frame or wrapper counts, and so does
+  // each payload inside it).
   std::uint64_t dispatched() const { return dispatched_; }
+  // Payloads with no handler for their type, whether they arrived on their
+  // own, in a batch frame or in a reliable wrapper.
   std::uint64_t unhandled() const { return unhandled_; }
 
  private:
+  using Handler = std::function<void(SiteId from, Payload& payload)>;
+
+  void install(MsgTag tag, Handler handler);
   sim::Task<void> dispatch_loop();
 
   sim::Kernel& kernel_;
   Network& network_;
   SiteId site_;
-  std::unordered_map<std::type_index, std::function<void(Envelope)>> handlers_;
+  std::vector<Handler> handlers_;  // by tag; empty = no handler
   sim::ProcessId dispatcher_{};
   bool running_ = false;
   std::uint64_t dispatched_ = 0;

@@ -131,7 +131,7 @@ void Network::send(Envelope envelope) {
     const FaultInjector::Decision decision = injector_->next();
     if (decision.drop) return;
     if (decision.duplicate) {
-      schedule_delivery(envelope, d + decision.duplicate_delay);
+      schedule_delivery(Envelope{envelope}, d + decision.duplicate_delay);
     }
     schedule_delivery(std::move(envelope), d + decision.extra_delay);
     return;
@@ -139,20 +139,30 @@ void Network::send(Envelope envelope) {
   schedule_delivery(std::move(envelope), d);
 }
 
-void Network::schedule_delivery(Envelope envelope, sim::Duration delay) {
-  kernel_.schedule_in(delay, [this, env = std::move(envelope)]() mutable {
-    deliver(std::move(env));
+void Network::schedule_delivery(Envelope&& envelope, sim::Duration delay) {
+  auto slot = static_cast<std::uint32_t>(in_flight_.size());
+  if (free_slots_.empty()) {
+    in_flight_.push_back(std::move(envelope));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    in_flight_[slot] = std::move(envelope);
+  }
+  kernel_.schedule_in(delay, [this, slot] {
+    Envelope arrived = std::move(in_flight_[slot]);
+    free_slots_.push_back(slot);
+    deliver(std::move(arrived));
   });
 }
 
-void Network::broadcast(SiteId from, const std::any& body) {
+void Network::broadcast(SiteId from, const Payload& body) {
   for (SiteId to = 0; to < site_count(); ++to) {
     if (to == from) continue;
     send(Envelope{from, to, body, nullptr});
   }
 }
 
-void Network::deliver(Envelope envelope) {
+void Network::deliver(Envelope&& envelope) {
   if (!up_[envelope.to]) {
     ++dropped_;
     return;

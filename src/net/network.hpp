@@ -1,19 +1,19 @@
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "net/fault.hpp"
+#include "net/payload.hpp"
 #include "sim/kernel.hpp"
 #include "sim/mailbox.hpp"
 #include "sim/time.hpp"
 
 namespace rtdb::net {
 
-// One message in flight between sites. `body` carries any application
+// One message in flight between sites. `body` carries the application
 // payload; `on_retrieved` (optional) is invoked by the destination site's
 // MessageServer when it picks the message up — the hook behind rendezvous
 // sends ("the sender can block itself ... until the message is retrieved by
@@ -21,7 +21,7 @@ namespace rtdb::net {
 struct Envelope {
   SiteId from = 0;
   SiteId to = 0;
-  std::any body;
+  Payload body;
   std::function<void()> on_retrieved;
 };
 
@@ -76,7 +76,7 @@ class Network {
   void send(Envelope envelope);
 
   // Sends a copy of `body` from `from` to every other site.
-  void broadcast(SiteId from, const std::any& body);
+  void broadcast(SiteId from, const Payload& body);
 
   sim::Mailbox<Envelope>& inbox(SiteId site);
 
@@ -95,10 +95,14 @@ class Network {
   }
 
  private:
-  void deliver(Envelope envelope);
-  void schedule_delivery(Envelope envelope, sim::Duration delay);
+  void deliver(Envelope&& envelope);
+  void schedule_delivery(Envelope&& envelope, sim::Duration delay);
 
   sim::Kernel& kernel_;
+  // Envelopes between send and delivery. Each delivery event captures only
+  // its slot's index, so scheduling one allocates nothing; slots are reused.
+  std::vector<Envelope> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
   std::vector<std::unique_ptr<sim::Mailbox<Envelope>>> inboxes_;
   std::vector<sim::Duration> delays_;  // site_count x site_count
   std::vector<bool> up_;

@@ -20,7 +20,7 @@ ReliableChannel::~ReliableChannel() {
   }
 }
 
-void ReliableChannel::send_reliable(SiteId to, std::any payload) {
+void ReliableChannel::send_reliable(SiteId to, Payload payload) {
   const std::uint64_t seq = next_seq_++;
   Pending& pending = pending_[seq];
   pending.to = to;
@@ -72,12 +72,7 @@ void ReliableChannel::handle_wrapped(SiteId from, ReliableMsg message) {
     ++duplicates_;
     return;
   }
-  auto it = wrapped_handlers_.find(std::type_index{message.payload.type()});
-  if (it == wrapped_handlers_.end()) {
-    ++unroutable_;
-    return;
-  }
-  it->second(from, std::move(message.payload));
+  server_.dispatch(from, message.payload);
 }
 
 void ReliableChannel::handle_ack(std::uint64_t seq) {

@@ -1,25 +1,23 @@
 #pragma once
 
-#include <any>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
-#include <typeindex>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "net/message_server.hpp"
+#include "net/payload.hpp"
 #include "sim/random.hpp"
 
 namespace rtdb::net {
 
 // Sequence-numbered wrapper around an application payload. The receiver
-// acks every copy it sees (the first ack may itself be lost) and delivers
-// the payload to the registered typed handler exactly once.
+// acks every copy it sees (the first ack may itself be lost) and hands the
+// payload to its MessageServer's handler table exactly once.
 struct ReliableMsg {
   std::uint64_t seq = 0;
-  std::any payload;
+  Payload payload;
 };
 struct ReliableAckMsg {
   std::uint64_t seq = 0;
@@ -36,9 +34,11 @@ struct ReliableAckMsg {
 // (config, seed) and the sweep engine's --jobs N byte-identity survives.
 //
 // A disabled channel (Options::enabled == false, the fault-free default)
-// forwards sends verbatim to the raw MessageServer and registers handlers
-// for the unwrapped types only — bit-identical to a build without it.
-// Intra-site sends always bypass wrapping (they bypass the network too).
+// forwards sends verbatim to the raw MessageServer — bit-identical to a
+// build without it. Intra-site sends always bypass wrapping (they bypass
+// the network too). The channel keeps no handler registry: unwrapped
+// payloads go back to the server's table, so a handler registered there
+// serves raw and wrapped copies alike.
 //
 // At most one ReliableChannel per MessageServer (it owns the ReliableMsg
 // and ReliableAckMsg handler slots).
@@ -64,31 +64,15 @@ class ReliableChannel {
   ReliableChannel(const ReliableChannel&) = delete;
   ReliableChannel& operator=(const ReliableChannel&) = delete;
 
-  // Registers the handler for payloads of type T, arriving either raw
-  // (disabled channel / legacy sender) or wrapped in a ReliableMsg. One
-  // handler per type, shared with the underlying server's registry.
-  template <typename T>
-  void on(std::function<void(SiteId from, T message)> handler) {
-    auto shared = std::make_shared<std::function<void(SiteId, T)>>(
-        std::move(handler));
-    server_.on<T>(
-        [shared](SiteId from, T message) { (*shared)(from, std::move(message)); });
-    wrapped_handlers_.emplace(
-        std::type_index{typeid(T)},
-        [shared](SiteId from, std::any payload) {
-          (*shared)(from, std::any_cast<T>(std::move(payload)));
-        });
-  }
-
   // Fire-and-forget from the caller's point of view; the channel keeps
   // retransmitting until acked or the retry budget is exhausted.
   template <typename T>
-  void send(SiteId to, T message) {
+  void send(SiteId to, T&& message) {
     if (!options_.enabled || to == server_.site()) {
-      server_.send(to, std::move(message));
+      server_.send(to, std::forward<T>(message));
       return;
     }
-    send_reliable(to, std::any{std::move(message)});
+    send_reliable(to, Payload{std::forward<T>(message)});
   }
 
   // Site failure: un-acked transmissions and their timers are volatile
@@ -109,13 +93,13 @@ class ReliableChannel {
  private:
   struct Pending {
     SiteId to = 0;
-    std::any payload;
+    Payload payload;
     int attempts = 0;  // retransmissions sent so far
     sim::Duration waited{};
     sim::EventId timer{};
   };
 
-  void send_reliable(SiteId to, std::any payload);
+  void send_reliable(SiteId to, Payload payload);
   void arm_timer(std::uint64_t seq, Pending& pending);
   void on_timer(std::uint64_t seq);
   void handle_wrapped(SiteId from, ReliableMsg message);
@@ -124,8 +108,6 @@ class ReliableChannel {
   MessageServer& server_;
   Options options_;
   sim::RandomStream stream_;
-  std::unordered_map<std::type_index, std::function<void(SiteId, std::any)>>
-      wrapped_handlers_;
   std::uint64_t next_seq_ = 1;
   // Ordered so crash teardown walks it deterministically.
   std::map<std::uint64_t, Pending> pending_;
@@ -134,7 +116,6 @@ class ReliableChannel {
   sim::Duration backoff_wait_{};
   std::uint64_t gave_up_ = 0;
   std::uint64_t duplicates_ = 0;
-  std::uint64_t unroutable_ = 0;
 };
 
 }  // namespace rtdb::net

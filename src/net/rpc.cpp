@@ -21,8 +21,8 @@ void RpcClient::on_response(RpcResponseMsg message) {
   it->second->arrived.release();
 }
 
-sim::Task<std::optional<std::any>> RpcClient::call(
-    SiteId to, std::any request, std::optional<sim::Duration> timeout) {
+sim::Task<std::optional<Payload>> RpcClient::call(
+    SiteId to, Payload request, std::optional<sim::Duration> timeout) {
   const std::uint64_t correlation = next_correlation_++;
   auto pending = std::make_shared<Pending>(server_.kernel());
   pending_.emplace(correlation, pending);
@@ -56,11 +56,13 @@ RpcServer::RpcServer(MessageServer& server, Handler handler)
       return;
     }
     ++served_;
-    Responder respond = [this, correlation, reply_to](std::any response) {
-      server_.send(reply_to, RpcResponseMsg{correlation, std::move(response)});
-    };
-    handler_(from, std::move(message.payload), std::move(respond));
+    handler_(from, std::move(message.payload),
+             Responder{&server_, correlation, reply_to});
   });
+}
+
+void RpcServer::Responder::operator()(Payload response) const {
+  server_->send(reply_to_, RpcResponseMsg{correlation_, std::move(response)});
 }
 
 }  // namespace rtdb::net

@@ -1,16 +1,17 @@
 #pragma once
 
-#include <any>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <typeindex>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "net/message_server.hpp"
 #include "net/network.hpp"
+#include "net/payload.hpp"
 #include "sim/kernel.hpp"
 #include "sim/semaphore.hpp"
 #include "sim/task.hpp"
@@ -28,12 +29,12 @@ namespace rtdb::net {
 struct RpcRequestMsg {
   std::uint64_t correlation = 0;
   SiteId reply_to = 0;
-  std::any payload;
+  Payload payload;
 };
 
 struct RpcResponseMsg {
   std::uint64_t correlation = 0;
-  std::any payload;
+  Payload payload;
 };
 
 class RpcClient {
@@ -48,8 +49,8 @@ class RpcClient {
   // Sends `request` to `to` and suspends until the response arrives.
   // Returns nullopt on timeout (when given). Kill-safe: a killed caller
   // deregisters its pending call and a late response is dropped.
-  sim::Task<std::optional<std::any>> call(
-      SiteId to, std::any request,
+  sim::Task<std::optional<Payload>> call(
+      SiteId to, Payload request,
       std::optional<sim::Duration> timeout = std::nullopt);
 
   std::size_t pending_calls() const { return pending_.size(); }
@@ -60,7 +61,7 @@ class RpcClient {
  private:
   struct Pending {
     sim::Semaphore arrived;
-    std::optional<std::any> response;
+    std::optional<Payload> response;
     explicit Pending(sim::Kernel& k) : arrived(k, 0) {}
   };
 
@@ -78,9 +79,25 @@ class RpcClient {
 class RpcServer {
  public:
   // Invoke to answer the request; safe to call immediately or long after
-  // the handler returned (deferred grant).
-  using Responder = std::function<void(std::any response)>;
-  using Handler = std::function<void(SiteId from, std::any request, Responder respond)>;
+  // the handler returned (deferred grant). Copyable, and small enough that
+  // handing one out allocates nothing.
+  class Responder {
+   public:
+    Responder() = default;
+    void operator()(Payload response) const;
+
+   private:
+    friend class RpcServer;
+    Responder(MessageServer* server, std::uint64_t correlation,
+              SiteId reply_to)
+        : server_(server), correlation_(correlation), reply_to_(reply_to) {}
+
+    MessageServer* server_ = nullptr;
+    std::uint64_t correlation_ = 0;
+    SiteId reply_to_ = 0;
+  };
+  using Handler =
+      std::function<void(SiteId from, Payload request, Responder respond)>;
 
   RpcServer(MessageServer& server, Handler handler);
 
@@ -105,39 +122,45 @@ class RpcServer {
 class RpcDispatcher {
  public:
   explicit RpcDispatcher(MessageServer& server)
-      : server_{server, [this](SiteId from, std::any request,
+      : server_{server, [this](SiteId from, Payload request,
                                RpcServer::Responder respond) {
-                  dispatch(from, std::move(request), std::move(respond));
+                  dispatch(from, request, respond);
                 }} {}
 
-  template <typename T>
-  void on(std::function<void(SiteId from, T request, RpcServer::Responder respond)>
-              handler) {
-    handlers_.emplace(
-        std::type_index{typeid(T)},
-        [handler = std::move(handler)](SiteId from, std::any request,
-                                       RpcServer::Responder respond) {
-          handler(from, std::any_cast<T>(std::move(request)),
-                  std::move(respond));
-        });
+  // Registers the handler for requests of type T, called as
+  // handler(SiteId from, T request, RpcServer::Responder respond). One
+  // handler per type.
+  template <typename T, typename F>
+  void on(F handler) {
+    const MsgTag tag = msg_tag<T>();
+    if (tag >= handlers_.size()) handlers_.resize(tag + 1);
+    assert(!handlers_[tag] &&
+           "handler for this request type already registered");
+    handlers_[tag] = [handler = std::move(handler)](
+                         SiteId from, Payload& request,
+                         const RpcServer::Responder& respond) mutable {
+      handler(from, std::move(request.get<T>()), respond);
+    };
   }
 
   std::uint64_t unhandled() const { return unhandled_; }
 
  private:
-  void dispatch(SiteId from, std::any request, RpcServer::Responder respond) {
-    auto it = handlers_.find(std::type_index{request.type()});
-    if (it == handlers_.end()) {
+  using Handler = std::function<void(SiteId, Payload&,
+                                     const RpcServer::Responder&)>;
+
+  void dispatch(SiteId from, Payload& request,
+                const RpcServer::Responder& respond) {
+    const MsgTag tag = request.tag();
+    if (tag >= handlers_.size() || !handlers_[tag]) {
       ++unhandled_;
       return;  // caller times out (or hangs by design without timeout)
     }
-    it->second(from, std::move(request), std::move(respond));
+    handlers_[tag](from, request, respond);
   }
 
   RpcServer server_;
-  std::unordered_map<std::type_index,
-                     std::function<void(SiteId, std::any, RpcServer::Responder)>>
-      handlers_;
+  std::vector<Handler> handlers_;  // by tag; empty = no handler
   std::uint64_t unhandled_ = 0;
 };
 

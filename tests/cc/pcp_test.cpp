@@ -41,6 +41,20 @@ TEST(PcpTest, StaticCeilingsTrackActiveDeclarations) {
   EXPECT_EQ(cc.absolute_ceiling(3), sim::Priority::lowest());
 }
 
+TEST(PcpTest, InstanceThatNeverBeginsATransactionAnswersQueries) {
+  // A standby ceiling manager may never see a transaction; its per-object
+  // tables are only sized on the first begin.
+  Kernel k;
+  PriorityCeiling cc{k, 10};
+  const CcTxn txn = make_txn(1, 1);
+  EXPECT_EQ(cc.write_ceiling(3), sim::Priority::lowest());
+  EXPECT_EQ(cc.absolute_ceiling(3), sim::Priority::lowest());
+  EXPECT_FALSE(cc.rw_ceiling(3).has_value());
+  EXPECT_FALSE(cc.is_locked(3));
+  EXPECT_FALSE(cc.holds(txn, 3, LockMode::kRead));
+  EXPECT_TRUE(cc.quiescent());
+}
+
 TEST(PcpTest, RwCeilingFollowsLockMode) {
   Kernel k;
   PriorityCeiling cc{k, 10};

@@ -81,7 +81,7 @@ TEST(NetworkFaultTest, DropRateOneLosesEveryInterSiteMessage) {
   Kernel k;
   Network net{k, 2, tu(1)};
   net.install_faults(message_spec(1.0, 0, 0), sim::RandomStream{9});
-  for (int i = 0; i < 10; ++i) net.send(Envelope{0, 1, std::any{i}, nullptr});
+  for (int i = 0; i < 10; ++i) net.send(Envelope{0, 1, Payload{i}, nullptr});
   k.run();
   EXPECT_EQ(net.messages_sent(), 10u);
   EXPECT_EQ(net.messages_delivered(), 0u);
@@ -93,7 +93,7 @@ TEST(NetworkFaultTest, DupRateOneDeliversEveryMessageTwice) {
   Kernel k;
   Network net{k, 2, tu(1)};
   net.install_faults(message_spec(0, 1.0, 0), sim::RandomStream{9});
-  for (int i = 0; i < 5; ++i) net.send(Envelope{0, 1, std::any{i}, nullptr});
+  for (int i = 0; i < 5; ++i) net.send(Envelope{0, 1, Payload{i}, nullptr});
   k.run();
   EXPECT_EQ(net.messages_sent(), 5u);
   EXPECT_EQ(net.messages_delivered(), 10u);
@@ -105,7 +105,7 @@ TEST(NetworkFaultTest, IntraSiteMessagesBypassTheFaultModel) {
   Kernel k;
   Network net{k, 2, Duration::zero()};
   net.install_faults(message_spec(1.0, 0, 0), sim::RandomStream{9});
-  net.send(Envelope{0, 0, std::any{1}, nullptr});
+  net.send(Envelope{0, 0, Payload{1}, nullptr});
   EXPECT_EQ(net.messages_delivered(), 1u);
   EXPECT_EQ(net.fault_drops(), 0u);
 }
@@ -114,7 +114,7 @@ TEST(NetworkFaultTest, ZeroSpecNeverConsultsTheInjector) {
   Kernel k;
   Network net{k, 2, tu(1)};
   net.install_faults(FaultSpec{}, sim::RandomStream{9});
-  for (int i = 0; i < 8; ++i) net.send(Envelope{0, 1, std::any{i}, nullptr});
+  for (int i = 0; i < 8; ++i) net.send(Envelope{0, 1, Payload{i}, nullptr});
   k.run();
   EXPECT_EQ(net.messages_delivered(), 8u);
   EXPECT_EQ(net.fault_drops(), 0u);
@@ -125,7 +125,7 @@ TEST(NetworkFaultTest, CrashedSiteSendsNothing) {
   Kernel k;
   Network net{k, 2, tu(1)};
   net.set_operational(0, false);
-  net.send(Envelope{0, 1, std::any{1}, nullptr});
+  net.send(Envelope{0, 1, Payload{1}, nullptr});
   k.run();
   EXPECT_EQ(net.messages_delivered(), 0u);
   EXPECT_EQ(net.messages_dropped(), 1u);

@@ -51,7 +51,7 @@ TEST(MessageServerTest, UnhandledTypesAreCountedNotFatal) {
   Network net{k, 2};
   MessageServer ms1{k, net, 1};
   ms1.start();
-  net.send(Envelope{0, 1, std::any{std::string{"mystery"}}, nullptr});
+  net.send(Envelope{0, 1, Payload{std::string{"mystery"}}, nullptr});
   k.run();
   EXPECT_EQ(ms1.unhandled(), 1u);
   EXPECT_EQ(ms1.dispatched(), 0u);
@@ -102,9 +102,10 @@ TEST(MessageServerTest, StopHaltsDispatchQueueRemains) {
   int handled = 0;
   ms1.on<Ping>([&](SiteId, Ping) { ++handled; });
   ms1.start();
-  net.send(Envelope{0, 1, std::any{Ping{1}}, nullptr});
+  net.send(Envelope{0, 1, Payload{Ping{1}}, nullptr});
   k.schedule_in(tu(2), [&] { ms1.stop(); });
-  k.schedule_in(tu(3), [&] { net.send(Envelope{0, 1, std::any{Ping{2}}, nullptr}); });
+  k.schedule_in(tu(3),
+                [&] { net.send(Envelope{0, 1, Payload{Ping{2}}, nullptr}); });
   k.run();
   EXPECT_EQ(handled, 1);
   EXPECT_EQ(net.inbox(1).queued(), 1u);  // second message parked in inbox

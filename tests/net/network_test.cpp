@@ -24,9 +24,9 @@ TEST(NetworkTest, DeliversAfterLinkDelay) {
   k.spawn("rx", [](Kernel& k, Network& net, double& at, int& got) -> Task<void> {
     auto env = co_await net.inbox(1).receive();
     at = k.now().as_units();
-    got = std::any_cast<int>(env->body);
+    got = env->body.get<int>();
   }(k, net, arrived_at, got));
-  net.send(Envelope{0, 1, std::any{42}, nullptr});
+  net.send(Envelope{0, 1, Payload{42}, nullptr});
   k.run();
   EXPECT_EQ(arrived_at, 5.0);
   EXPECT_EQ(got, 42);
@@ -60,10 +60,10 @@ TEST(NetworkTest, MessageOrderPreservedPerLink) {
   std::vector<int> got;
   k.spawn("rx", [](Network& net, std::vector<int>& got) -> Task<void> {
     for (int i = 0; i < 3; ++i) {
-      got.push_back(std::any_cast<int>((co_await net.inbox(1).receive())->body));
+      got.push_back((co_await net.inbox(1).receive())->body.get<int>());
     }
   }(net, got));
-  for (int i = 0; i < 3; ++i) net.send(Envelope{0, 1, std::any{i}, nullptr});
+  for (int i = 0; i < 3; ++i) net.send(Envelope{0, 1, Payload{i}, nullptr});
   k.run();
   EXPECT_EQ(got, (std::vector<int>{0, 1, 2}));
 }
@@ -71,7 +71,7 @@ TEST(NetworkTest, MessageOrderPreservedPerLink) {
 TEST(NetworkTest, DownSiteDropsAtDeliveryTime) {
   Kernel k;
   Network net{k, 2, tu(5)};
-  net.send(Envelope{0, 1, std::any{1}, nullptr});
+  net.send(Envelope{0, 1, Payload{1}, nullptr});
   k.schedule_in(tu(2), [&] { net.set_operational(1, false); });
   k.run();
   EXPECT_EQ(net.messages_dropped(), 1u);
@@ -83,14 +83,14 @@ TEST(NetworkTest, SiteRecoveryDeliversLaterMessages) {
   Kernel k;
   Network net{k, 2, tu(1)};
   net.set_operational(1, false);
-  net.send(Envelope{0, 1, std::any{1}, nullptr});  // lost
+  net.send(Envelope{0, 1, Payload{1}, nullptr});  // lost
   k.schedule_in(tu(5), [&] {
     net.set_operational(1, true);
-    net.send(Envelope{0, 1, std::any{2}, nullptr});  // delivered
+    net.send(Envelope{0, 1, Payload{2}, nullptr});  // delivered
   });
   int got = 0;
   k.spawn("rx", [](Network& net, int& got) -> Task<void> {
-    got = std::any_cast<int>((co_await net.inbox(1).receive())->body);
+    got = (co_await net.inbox(1).receive())->body.get<int>();
   }(net, got));
   k.run();
   EXPECT_EQ(got, 2);
@@ -108,7 +108,7 @@ TEST(NetworkTest, IntraSiteSendBypassesDelay) {
   }(k, net, got));
   k.spawn("tx", [](Kernel& k, Network& net) -> Task<void> {
     co_await k.yield();
-    net.send(Envelope{0, 0, std::any{1}, nullptr});
+    net.send(Envelope{0, 0, Payload{1}, nullptr});
   }(k, net));
   k.run();
   EXPECT_TRUE(got);
@@ -120,11 +120,11 @@ TEST(NetworkTest, BroadcastReachesEveryOtherSite) {
   int got[3] = {};
   auto rx = [](Network& net, int* got, SiteId site) -> Task<void> {
     auto env = co_await net.inbox(site).receive();
-    got[site] = std::any_cast<int>(env->body);
+    got[site] = env->body.get<int>();
   };
   k.spawn("rx1", rx(net, got, 1));
   k.spawn("rx2", rx(net, got, 2));
-  net.broadcast(0, std::any{9});
+  net.broadcast(0, Payload{9});
   k.run();
   EXPECT_EQ(got[0], 0);  // sender excluded
   EXPECT_EQ(got[1], 9);

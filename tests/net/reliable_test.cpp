@@ -38,7 +38,7 @@ struct Pair {
             sim::RandomStream{seed}.fork(0xCA00)),
         ch1(ms1, ReliableChannel::Options{enabled, 5, tu(8)},
             sim::RandomStream{seed}.fork(0xCA01)) {
-    ch1.on<PingMsg>([this](SiteId, PingMsg m) { got.push_back(m.value); });
+    ms1.on<PingMsg>([this](SiteId, PingMsg m) { got.push_back(m.value); });
     ms0.start();
     ms1.start();
   }

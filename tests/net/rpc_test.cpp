@@ -33,16 +33,17 @@ struct Harness {
 
 TEST(RpcTest, ImmediateResponseRoundTrip) {
   Harness h;
-  RpcServer server{h.ms1, [](SiteId from, std::any request, RpcServer::Responder respond) {
+  RpcServer server{h.ms1, [](SiteId from, Payload request,
+                             RpcServer::Responder respond) {
     EXPECT_EQ(from, 0u);
-    respond(std::any{std::any_cast<int>(request) * 2});
+    respond(request.get<int>() * 2);
   }};
   int got = 0;
   double at = -1;
   h.k.spawn("caller", [](Harness& h, int& got, double& at) -> Task<void> {
-    auto resp = co_await h.client.call(1, std::any{21});
+    auto resp = co_await h.client.call(1, Payload{21});
     EXPECT_TRUE(resp.has_value());  // coroutine: EXPECT, not ASSERT
-    if (resp) got = std::any_cast<int>(*resp);
+    if (resp) got = resp->get<int>();
     at = h.k.now().as_units();
   }(h, got, at));
   h.k.run();
@@ -55,28 +56,28 @@ TEST(RpcTest, ImmediateResponseRoundTrip) {
 TEST(RpcTest, DeferredResponderRepliesLater) {
   Harness h;
   RpcServer::Responder saved;
-  RpcServer server{h.ms1, [&](SiteId, std::any, RpcServer::Responder respond) {
+  RpcServer server{h.ms1, [&](SiteId, Payload, RpcServer::Responder respond) {
     saved = std::move(respond);  // grant deferred, like a blocked lock
   }};
   double at = -1;
   h.k.spawn("caller", [](Harness& h, double& at) -> Task<void> {
-    auto resp = co_await h.client.call(1, std::any{1});
+    auto resp = co_await h.client.call(1, Payload{1});
     EXPECT_TRUE(resp.has_value());
     at = h.k.now().as_units();
   }(h, at));
-  h.k.schedule_in(tu(50), [&] { saved(std::any{std::string{"granted"}}); });
+  h.k.schedule_in(tu(50), [&] { saved(Payload{std::string{"granted"}}); });
   h.k.run();
   EXPECT_EQ(at, 52.0);  // request at 2, grant sent at 50, +2 delay
 }
 
 TEST(RpcTest, TimeoutReturnsNullopt) {
   Harness h;
-  RpcServer server{h.ms1, [](SiteId, std::any, RpcServer::Responder) {
+  RpcServer server{h.ms1, [](SiteId, Payload, RpcServer::Responder) {
     // never responds
   }};
   bool timed_out = false;
   h.k.spawn("caller", [](Harness& h, bool& timed_out) -> Task<void> {
-    auto resp = co_await h.client.call(1, std::any{1}, Duration::units(10));
+    auto resp = co_await h.client.call(1, Payload{1}, Duration::units(10));
     timed_out = !resp.has_value();
     EXPECT_EQ(h.k.now().as_units(), 10.0);
   }(h, timed_out));
@@ -88,14 +89,14 @@ TEST(RpcTest, TimeoutReturnsNullopt) {
 TEST(RpcTest, LateResponseAfterTimeoutIsDropped) {
   Harness h;
   RpcServer::Responder saved;
-  RpcServer server{h.ms1, [&](SiteId, std::any, RpcServer::Responder respond) {
+  RpcServer server{h.ms1, [&](SiteId, Payload, RpcServer::Responder respond) {
     saved = std::move(respond);
   }};
   h.k.spawn("caller", [](Harness& h) -> Task<void> {
-    auto resp = co_await h.client.call(1, std::any{1}, Duration::units(5));
+    auto resp = co_await h.client.call(1, Payload{1}, Duration::units(5));
     EXPECT_FALSE(resp.has_value());
   }(h));
-  h.k.schedule_in(tu(30), [&] { saved(std::any{7}); });  // long after timeout
+  h.k.schedule_in(tu(30), [&] { saved(Payload{7}); });  // long after timeout
   h.k.run();
   EXPECT_EQ(h.client.pending_calls(), 0u);  // no leak, no crash
   // The straggler is recognized as the answer to a timed-out call (not an
@@ -106,15 +107,15 @@ TEST(RpcTest, LateResponseAfterTimeoutIsDropped) {
 TEST(RpcTest, KilledCallerResponseIsNotCountedLate) {
   Harness h;
   RpcServer::Responder saved;
-  RpcServer server{h.ms1, [&](SiteId, std::any, RpcServer::Responder respond) {
+  RpcServer server{h.ms1, [&](SiteId, Payload, RpcServer::Responder respond) {
     saved = std::move(respond);
   }};
   ProcessId caller = h.k.spawn("caller", [](Harness& h) -> Task<void> {
-    co_await h.client.call(1, std::any{1});
+    co_await h.client.call(1, Payload{1});
     ADD_FAILURE() << "caller must not complete";
   }(h));
   h.k.schedule_in(tu(4), [&] { h.k.kill(caller); });
-  h.k.schedule_in(tu(30), [&] { saved(std::any{7}); });
+  h.k.schedule_in(tu(30), [&] { saved(Payload{7}); });
   h.k.run();
   // A killed caller abandoned the call; only timeout-expired correlations
   // count as late responses.
@@ -124,9 +125,9 @@ TEST(RpcTest, KilledCallerResponseIsNotCountedLate) {
 
 TEST(RpcTest, KilledCallerDeregisters) {
   Harness h;
-  RpcServer server{h.ms1, [](SiteId, std::any, RpcServer::Responder) {}};
+  RpcServer server{h.ms1, [](SiteId, Payload, RpcServer::Responder) {}};
   ProcessId caller = h.k.spawn("caller", [](Harness& h) -> Task<void> {
-    co_await h.client.call(1, std::any{1});
+    co_await h.client.call(1, Payload{1});
     ADD_FAILURE() << "caller must not complete";
   }(h));
   h.k.schedule_in(tu(4), [&] { h.k.kill(caller); });
@@ -136,15 +137,16 @@ TEST(RpcTest, KilledCallerDeregisters) {
 
 TEST(RpcTest, ConcurrentCallsCorrelateCorrectly) {
   Harness h;
-  RpcServer server{h.ms1, [](SiteId, std::any request, RpcServer::Responder respond) {
-    respond(std::any{std::any_cast<int>(request) + 100});
+  RpcServer server{h.ms1, [](SiteId, Payload request,
+                             RpcServer::Responder respond) {
+    respond(request.get<int>() + 100);
   }};
   std::vector<int> results(3, 0);
   for (int i = 0; i < 3; ++i) {
     h.k.spawn("caller", [](Harness& h, std::vector<int>& results, int i) -> Task<void> {
-      auto resp = co_await h.client.call(1, std::any{i});
+      auto resp = co_await h.client.call(1, Payload{i});
       EXPECT_TRUE(resp.has_value());
-      if (resp) results[i] = std::any_cast<int>(*resp);
+      if (resp) results[i] = resp->get<int>();
     }(h, results, i));
   }
   h.k.run();
