@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -16,11 +17,16 @@ namespace rtdb::cc {
 
 // Callbacks a controller uses to act on the rest of the system.
 struct ControllerHooks {
-  // Abort another transaction (deadlock victim, wound). The callee must
-  // synchronously terminate the victim's attempt — releasing its locks —
-  // and arrange its restart. Never called for the currently running
-  // transaction (protocols throw TxnAborted for self-aborts instead).
-  std::function<void(db::TxnId victim, AbortReason reason)> abort_txn;
+  // Abort a transaction (deadlock victim, wound). Normally the callee
+  // synchronously terminates the victim's attempt — releasing its locks —
+  // arranges its restart and returns false. It is also called for the
+  // running attempt itself when the victim was picked among the waiters
+  // during its own acquire (PCP's dynamic-deadlock backstop, also at the
+  // global manager's mirrors): then it only returns true, and that acquire
+  // must return the abort. Protocols that pick the requester directly
+  // (2PL's requester-victim, wait-die, TSO) return the reason from
+  // acquire() without calling the hook.
+  std::function<bool(db::TxnId victim, AbortReason reason)> abort_txn;
   // The transaction's effective (inherited) priority changed; the callee
   // propagates it to the CPU scheduler.
   std::function<void(const CcTxn& txn)> priority_changed;
@@ -30,9 +36,11 @@ struct ControllerHooks {
 //
 // Contract, in execution order for each transaction attempt:
 //   on_begin(t)                      once, before the first acquire
-//   acquire(t, o, m)                 may suspend; may throw TxnAborted
-//                                    (self-abort) or ProcessCancelled
-//                                    (attempt killed while blocked)
+//   acquire(t, o, m)                 may suspend; returns nullopt once the
+//                                    lock is granted, or the reason the
+//                                    attempt must abort (self-abort). A
+//                                    kill while blocked destroys it in
+//                                    place; its guards undo the wait.
 //   release_all(t)                   at commit or abort; never blocks
 //   on_end(t)                        once, after release_all
 //
@@ -72,8 +80,8 @@ class ConcurrencyController {
     do_end(txn);
   }
 
-  virtual sim::Task<void> acquire(CcTxn& txn, db::ObjectId object,
-                                  LockMode mode) = 0;
+  virtual sim::Task<std::optional<AbortReason>> acquire(
+      CcTxn& txn, db::ObjectId object, LockMode mode) = 0;
 
   virtual std::string_view name() const = 0;
 

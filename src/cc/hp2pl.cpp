@@ -16,12 +16,12 @@ HighPriority2PL::HighPriority2PL(sim::Kernel& kernel)
   });
 }
 
-sim::Task<void> HighPriority2PL::acquire(CcTxn& txn, db::ObjectId object,
-                                         LockMode mode) {
+sim::Task<std::optional<AbortReason>> HighPriority2PL::acquire(
+    CcTxn& txn, db::ObjectId object, LockMode mode) {
   if (table_.try_grant(txn, object, mode)) {
     count_grant();
     notify_grant(txn, object, mode);
-    co_return;
+    co_return std::nullopt;
   }
 
   // Queue first (priority order), then decide: wound every conflicting
@@ -69,6 +69,7 @@ sim::Task<void> HighPriority2PL::acquire(CcTxn& txn, db::ObjectId object,
   co_await wakeup.acquire();
   assert(request.granted);
   count_grant();
+  co_return std::nullopt;
 }
 
 void HighPriority2PL::do_release_all(CcTxn& txn) { table_.release_all(txn); }

@@ -21,8 +21,8 @@ class HighPriority2PL : public ConcurrencyController {
  public:
   explicit HighPriority2PL(sim::Kernel& kernel);
 
-  sim::Task<void> acquire(CcTxn& txn, db::ObjectId object,
-                          LockMode mode) override;
+  sim::Task<std::optional<AbortReason>> acquire(CcTxn& txn, db::ObjectId object,
+                                                LockMode mode) override;
   std::string_view name() const override { return "2PL-HP"; }
 
   std::uint64_t wounds() const { return wounds_; }

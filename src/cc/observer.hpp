@@ -54,7 +54,8 @@ class CcObserver {
   // release_all completed: the transaction holds nothing here anymore.
   virtual void on_release_all(const CcTxn& txn) { (void)txn; }
   // The protocol decided to abort `victim` (wound, deadlock victim, die).
-  // For self-aborts the TxnAborted throw follows this call.
+  // For self-aborts the requester's acquire returns the reason after this
+  // call.
   virtual void on_abort(db::TxnId victim, AbortReason reason) {
     (void)victim;
     (void)reason;

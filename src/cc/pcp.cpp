@@ -51,8 +51,8 @@ void PriorityCeiling::do_end(CcTxn& txn) {
   stabilize();
 }
 
-sim::Task<void> PriorityCeiling::acquire(CcTxn& txn, db::ObjectId object,
-                                         LockMode mode) {
+sim::Task<std::optional<AbortReason>> PriorityCeiling::acquire(
+    CcTxn& txn, db::ObjectId object, LockMode mode) {
   assert(object < object_count_);
   assert(active_.contains(txn.id) && "acquire before on_begin");
   mode = effective_mode(mode);
@@ -61,7 +61,7 @@ sim::Task<void> PriorityCeiling::acquire(CcTxn& txn, db::ObjectId object,
     grant(txn, object, mode);
     count_grant();
     notify_grant(txn, object, mode);
-    co_return;
+    co_return std::nullopt;
   }
 
   // Denied. The ceiling protocol may forbid locking an unlocked object;
@@ -104,7 +104,8 @@ sim::Task<void> PriorityCeiling::acquire(CcTxn& txn, db::ObjectId object,
     Waiter* waiter;
     ~Cleanup() {
       if (!waiter->granted) {
-        // Kill while blocked: withdraw the wait and settle inheritance.
+        // Killed while blocked, or the backstop's victim: withdraw the
+        // wait and settle inheritance.
         auto it = std::find(self->waiters_.begin(), self->waiters_.end(), waiter);
         assert(it != self->waiters_.end());
         self->waiters_.erase(it);
@@ -114,10 +115,14 @@ sim::Task<void> PriorityCeiling::acquire(CcTxn& txn, db::ObjectId object,
     }
   } cleanup{this, &waiter};
 
-  stabilize();
+  if (stabilize()) {
+    // This request closed a dynamic-arrival cycle and is its victim.
+    co_return AbortReason::kDeadlockVictim;
+  }
   co_await wakeup.acquire();
   assert(waiter.granted);
   count_grant();
+  co_return std::nullopt;
 }
 
 void PriorityCeiling::do_release_all(CcTxn& txn) {
@@ -351,7 +356,7 @@ void PriorityCeiling::refresh_rw_ceiling(db::ObjectId object,
                                            : write_ceiling(object);
 }
 
-void PriorityCeiling::stabilize() {
+bool PriorityCeiling::stabilize() {
   // Alternate inheritance and granting until neither changes anything:
   // a grant changes the lock set (new ceilings to respect), inheritance
   // changes effective priorities (new grants may pass the ceiling test).
@@ -359,26 +364,35 @@ void PriorityCeiling::stabilize() {
   // folds that into the outer loop instead of recursing.
   if (stabilizing_) {
     restabilize_ = true;
-    return;
+    return false;
   }
   stabilizing_ = true;
   struct Reset {
     bool& flag;
-    ~Reset() { flag = false; }  // exception-safe (a victim may throw)
+    ~Reset() { flag = false; }  // on every exit, the running victim's too
   } reset{stabilizing_};
   do {
     restabilize_ = false;
     do {
       update_inheritance();
     } while (grant_pass());
-    if (options_.deadlock_backstop && resolve_dynamic_deadlock()) {
-      restabilize_ = true;
+    if (options_.deadlock_backstop) {
+      switch (resolve_dynamic_deadlock()) {
+        case Backstop::kQuiet:
+          break;
+        case Backstop::kAborted:
+          restabilize_ = true;
+          break;
+        case Backstop::kAbortedRunning:
+          return true;
+      }
     }
   } while (restabilize_);
+  return false;
 }
 
-bool PriorityCeiling::resolve_dynamic_deadlock() {
-  if (waiters_.empty()) return false;
+PriorityCeiling::Backstop PriorityCeiling::resolve_dynamic_deadlock() {
+  if (waiters_.empty()) return Backstop::kQuiet;
   // Blocked-by graph: each waiter points at the holders of its current
   // strongest blocking lock. Every node on a cycle is a waiter (only
   // waiters have outgoing edges), so any victim is safely abortable.
@@ -451,8 +465,9 @@ bool PriorityCeiling::resolve_dynamic_deadlock() {
         count_protocol_abort();
         notify_abort(victim->id, AbortReason::kDeadlockVictim);
         assert(hooks_.abort_txn != nullptr);
-        hooks_.abort_txn(victim->id, AbortReason::kDeadlockVictim);
-        return true;
+        return hooks_.abort_txn(victim->id, AbortReason::kDeadlockVictim)
+                   ? Backstop::kAbortedRunning
+                   : Backstop::kAborted;
       }
       if (colour_of(next) == 0) {
         set_colour(next, 1);
@@ -461,7 +476,7 @@ bool PriorityCeiling::resolve_dynamic_deadlock() {
       }
     }
   }
-  return false;
+  return Backstop::kQuiet;
 }
 
 void PriorityCeiling::update_inheritance() {

@@ -64,8 +64,8 @@ class PriorityCeiling : public ConcurrencyController {
                   Options options);
   ~PriorityCeiling() override;
 
-  sim::Task<void> acquire(CcTxn& txn, db::ObjectId object,
-                          LockMode mode) override;
+  sim::Task<std::optional<AbortReason>> acquire(CcTxn& txn, db::ObjectId object,
+                                                LockMode mode) override;
   std::string_view name() const override;
   bool quiescent(std::string* why = nullptr) const override;
 
@@ -154,12 +154,16 @@ class PriorityCeiling : public ConcurrencyController {
   // Priority inheritance to a fixpoint, then grants every waiter the new
   // state allows, repeating until stable; finally runs the deadlock
   // backstop. Re-entrant (a backstop abort re-triggers it) via a dirty flag.
-  void stabilize();
+  // Returns true, stopping at once, when the backstop's victim is the
+  // running requester itself; only that requester's own acquire() can see
+  // this, and it then returns the abort.
+  bool stabilize();
   void update_inheritance();
   bool grant_pass();
   // Detects a ceiling-blocking cycle among the waiters and aborts its
-  // lowest-priority member. Returns true if it fired.
-  bool resolve_dynamic_deadlock();
+  // lowest-priority member through the abort hook.
+  enum class Backstop : std::uint8_t { kQuiet, kAborted, kAbortedRunning };
+  Backstop resolve_dynamic_deadlock();
 
   Options options_;
   std::uint32_t object_count_;

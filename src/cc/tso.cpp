@@ -26,8 +26,8 @@ void TimestampOrdering::forget_timestamp(db::TxnId txn) {
   timestamps_.erase(txn);
 }
 
-sim::Task<void> TimestampOrdering::acquire(CcTxn& txn, db::ObjectId object,
-                                           LockMode mode) {
+sim::Task<std::optional<AbortReason>> TimestampOrdering::acquire(
+    CcTxn& txn, db::ObjectId object, LockMode mode) {
   const std::uint64_t ts = timestamp_of(txn.id);
   ObjectTs& state = objects_[object];
   if (mode == LockMode::kRead) {
@@ -35,7 +35,7 @@ sim::Task<void> TimestampOrdering::acquire(CcTxn& txn, db::ObjectId object,
       ++rejections_;
       count_protocol_abort();
       notify_tso_access(txn, object, mode, ts, false);
-      throw TxnAborted{AbortReason::kTimestampOrder};
+      co_return AbortReason::kTimestampOrder;
     }
     state.read_ts = std::max(state.read_ts, ts);
   } else {
@@ -43,13 +43,13 @@ sim::Task<void> TimestampOrdering::acquire(CcTxn& txn, db::ObjectId object,
       ++rejections_;
       count_protocol_abort();
       notify_tso_access(txn, object, mode, ts, false);
-      throw TxnAborted{AbortReason::kTimestampOrder};
+      co_return AbortReason::kTimestampOrder;
     }
     state.write_ts = ts;
   }
   count_grant();
   notify_tso_access(txn, object, mode, ts, true);
-  co_return;
+  co_return std::nullopt;
 }
 
 void TimestampOrdering::do_release_all(CcTxn& txn) {

@@ -29,8 +29,8 @@ class TimestampOrdering : public ConcurrencyController {
  public:
   explicit TimestampOrdering(sim::Kernel& kernel);
 
-  sim::Task<void> acquire(CcTxn& txn, db::ObjectId object,
-                          LockMode mode) override;
+  sim::Task<std::optional<AbortReason>> acquire(CcTxn& txn, db::ObjectId object,
+                                                LockMode mode) override;
   std::string_view name() const override { return "TSO"; }
 
   // Assigns (if absent) or retrieves the timestamp of the current attempt.

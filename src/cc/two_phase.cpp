@@ -28,13 +28,13 @@ void TwoPhaseLocking::do_begin(CcTxn& txn) {
   active_.emplace(txn.id, &txn);
 }
 
-sim::Task<void> TwoPhaseLocking::acquire(CcTxn& txn, db::ObjectId object,
-                                         LockMode mode) {
+sim::Task<std::optional<AbortReason>> TwoPhaseLocking::acquire(
+    CcTxn& txn, db::ObjectId object, LockMode mode) {
   assert(active_.contains(txn.id) && "acquire before on_begin");
   if (table_.try_grant(txn, object, mode)) {
     count_grant();
     notify_grant(txn, object, mode);
-    co_return;
+    co_return std::nullopt;
   }
 
   sim::Semaphore wakeup{kernel_, 0};
@@ -48,8 +48,8 @@ sim::Task<void> TwoPhaseLocking::acquire(CcTxn& txn, db::ObjectId object,
   }
 
   // Unblock bookkeeping on *every* exit: normal grant (already dequeued,
-  // granted=true), kill while blocked (ProcessCancelled), or self-abort as
-  // deadlock victim (TxnAborted).
+  // granted=true), kill while blocked (the frame is destroyed), or
+  // self-abort as deadlock victim (the early return).
   struct Cleanup {
     TwoPhaseLocking* self;
     LockTable::Request* request;
@@ -66,13 +66,16 @@ sim::Task<void> TwoPhaseLocking::acquire(CcTxn& txn, db::ObjectId object,
     }
   } cleanup{this, &request};
 
-  resolve_deadlocks(txn, request);
+  if (resolve_deadlocks(txn, request)) {
+    co_return AbortReason::kDeadlockVictim;
+  }
   update_inheritance();
   if (!request.granted) {
     co_await wakeup.acquire();
   }
   assert(request.granted);
   count_grant();
+  co_return std::nullopt;
 }
 
 void TwoPhaseLocking::do_release_all(CcTxn& txn) {
@@ -124,20 +127,20 @@ void TwoPhaseLocking::refresh_edges(db::ObjectId object) {
   });
 }
 
-void TwoPhaseLocking::resolve_deadlocks(CcTxn& requester,
+bool TwoPhaseLocking::resolve_deadlocks(CcTxn& requester,
                                         LockTable::Request& request) {
   for (;;) {
-    if (request.granted) return;  // a victim's release granted us meanwhile
+    if (request.granted) return false;  // a victim's release granted us
     const auto cycle = wfg_.find_cycle_from(requester.id);
-    if (cycle.empty()) return;
+    if (cycle.empty()) return false;
     ++deadlocks_;
     count_protocol_abort();
     const db::TxnId victim = pick_victim(cycle, requester.id);
     notify_abort(victim, AbortReason::kDeadlockVictim);
     if (victim == requester.id) {
-      // Cleanup (dequeue, edges, block accounting) runs in the awaiter's
-      // RAII guard as the exception unwinds acquire().
-      throw TxnAborted{AbortReason::kDeadlockVictim};
+      // Cleanup (dequeue, edges, block accounting) runs in acquire()'s
+      // RAII guard as it returns the abort.
+      return true;
     }
     assert(hooks_.abort_txn != nullptr);
     hooks_.abort_txn(victim, AbortReason::kDeadlockVictim);

@@ -36,8 +36,8 @@ class TwoPhaseLocking : public ConcurrencyController {
 
   TwoPhaseLocking(sim::Kernel& kernel, Options options);
 
-  sim::Task<void> acquire(CcTxn& txn, db::ObjectId object,
-                          LockMode mode) override;
+  sim::Task<std::optional<AbortReason>> acquire(CcTxn& txn, db::ObjectId object,
+                                                LockMode mode) override;
   std::string_view name() const override;
   bool quiescent(std::string* why = nullptr) const override;
 
@@ -54,9 +54,10 @@ class TwoPhaseLocking : public ConcurrencyController {
  private:
   // Rebuilds the wait-for edges of every waiter queued on `object`.
   void refresh_edges(db::ObjectId object);
-  // Detects and resolves cycles created by `request`; throws TxnAborted if
-  // the requester itself is chosen. Returns when the requester is cycle-free.
-  void resolve_deadlocks(CcTxn& requester, LockTable::Request& request);
+  // Detects and resolves cycles created by `request`. Returns true as soon
+  // as the requester itself is chosen as victim, false once it is
+  // cycle-free.
+  bool resolve_deadlocks(CcTxn& requester, LockTable::Request& request);
   db::TxnId pick_victim(const std::vector<db::TxnId>& cycle,
                         db::TxnId requester) const;
   // PIP: recomputes all inherited priorities to a fixpoint.

@@ -31,10 +31,10 @@ enum class AbortReason : std::uint8_t {
 
 const char* to_string(AbortReason reason);
 
-// Thrown inside a transaction's own acquire() when the protocol decides
-// this transaction must abort (e.g. it is its own best deadlock victim, or
-// a timestamp-ordering rule fails). The transaction manager catches it,
-// releases everything, and restarts the attempt if the deadline allows.
+// The thread backend's self-abort (src/rt): thrown inside a worker's own
+// acquire when the protocol decides its transaction must abort; the runner
+// catches it, releases everything, and restarts the attempt. Simulated
+// protocols return the AbortReason from acquire() instead.
 class TxnAborted : public std::runtime_error {
  public:
   explicit TxnAborted(AbortReason reason)

@@ -19,13 +19,13 @@ AgeBased2PL::AgeBased2PL(sim::Kernel& kernel, Flavour flavour)
   });
 }
 
-sim::Task<void> AgeBased2PL::acquire(CcTxn& txn, db::ObjectId object,
-                                     LockMode mode) {
+sim::Task<std::optional<AbortReason>> AgeBased2PL::acquire(
+    CcTxn& txn, db::ObjectId object, LockMode mode) {
   for (;;) {
     if (table_.try_grant(txn, object, mode)) {
       count_grant();
       notify_grant(txn, object, mode);
-      co_return;
+      co_return std::nullopt;
     }
     // Probe who we would wait for.
     LockTable::Request probe{&txn, object, mode, nullptr, false, 0};
@@ -43,7 +43,7 @@ sim::Task<void> AgeBased2PL::acquire(CcTxn& txn, db::ObjectId object,
         ++dies_;
         count_protocol_abort();
         notify_abort(txn.id, AbortReason::kAgeBased);
-        throw TxnAborted{AbortReason::kAgeBased};
+        co_return AbortReason::kAgeBased;
       }
       // Older than everyone in the way: wait.
     } else {
@@ -81,7 +81,7 @@ sim::Task<void> AgeBased2PL::acquire(CcTxn& txn, db::ObjectId object,
     co_await wakeup.acquire();
     assert(request.granted);
     count_grant();
-    co_return;
+    co_return std::nullopt;
   }
 }
 

@@ -31,8 +31,8 @@ class AgeBased2PL : public ConcurrencyController {
 
   AgeBased2PL(sim::Kernel& kernel, Flavour flavour);
 
-  sim::Task<void> acquire(CcTxn& txn, db::ObjectId object,
-                          LockMode mode) override;
+  sim::Task<std::optional<AbortReason>> acquire(CcTxn& txn, db::ObjectId object,
+                                                LockMode mode) override;
   std::string_view name() const override {
     return flavour_ == Flavour::kWaitDie ? "2PL-WD" : "2PL-WW";
   }

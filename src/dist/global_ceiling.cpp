@@ -47,7 +47,7 @@ GlobalCeilingManager::GlobalCeilingManager(Routed, net::MessageServer& server,
 void GlobalCeilingManager::install_hooks() {
   pcp_.set_hooks(cc::ControllerHooks{
       [this](db::TxnId victim, cc::AbortReason reason) {
-        abort_mirror(victim, reason);
+        return abort_mirror(victim, reason);
       },
       // Inherited priorities are not propagated to remote CPUs (the
       // grant/wake ordering at the manager still honours them).
@@ -324,19 +324,18 @@ sim::Task<void> GlobalCeilingManager::serve_acquire(
   } reply{std::move(respond), this, &mirror, request.object,
           server_.kernel().current()->id()};
 
-  try {
-    co_await pcp_.acquire(mirror.ctx, request.object, request.mode);
-    reply.granted = true;
-  } catch (const cc::TxnAborted&) {
+  if (co_await pcp_.acquire(mirror.ctx, request.object, request.mode)) {
     // This very request closed a (dynamic-arrival) cycle and the mirror
     // was chosen as victim: finish the abort on its behalf.
     finish_abort(mirror);
+  } else {
+    reply.granted = true;
   }
   reply.send();
 }
 
-void GlobalCeilingManager::abort_mirror(db::TxnId victim,
-                                        cc::AbortReason reason) {
+bool GlobalCeilingManager::abort_mirror(db::TxnId victim,
+                                        cc::AbortReason /*reason*/) {
   auto it = mirrors_.find(victim.value);
   assert(it != mirrors_.end());
   Mirror& mirror = *it->second;
@@ -345,14 +344,15 @@ void GlobalCeilingManager::abort_mirror(db::TxnId victim,
   if (current != nullptr &&
       std::find(mirror.pending.begin(), mirror.pending.end(), current->id()) !=
           mirror.pending.end()) {
-    // The victim's own waiting grant is the running process: unwind it; its
-    // catch block completes the abort.
-    throw cc::TxnAborted{reason};
+    // The victim's own waiting grant is the running process: its acquire
+    // returns the abort, and serve_acquire completes it.
+    return true;
   }
   auto pending = mirror.pending;
   mirror.pending.clear();
   for (const sim::ProcessId pid : pending) server_.kernel().kill(pid);
   finish_abort(mirror);
+  return false;
 }
 
 void GlobalCeilingManager::finish_abort(Mirror& mirror) {
@@ -395,9 +395,8 @@ void GlobalCeilingClient::do_begin(cc::CcTxn& txn) {
   send_control(std::move(message));
 }
 
-sim::Task<void> GlobalCeilingClient::acquire(cc::CcTxn& txn,
-                                             db::ObjectId object,
-                                             cc::LockMode mode) {
+sim::Task<std::optional<cc::AbortReason>> GlobalCeilingClient::acquire(
+    cc::CcTxn& txn, db::ObjectId object, cc::LockMode mode) {
   // The whole round trip — two communication delays plus any remote
   // ceiling blocking — counts as blocked time; it is exactly the
   // synchronization delay the paper attributes to this scheme.
@@ -451,7 +450,7 @@ sim::Task<void> GlobalCeilingClient::acquire(cc::CcTxn& txn,
   if (!resp.granted) {
     count_protocol_abort();
     notify_abort(txn.id, cc::AbortReason::kDeadlockVictim);
-    throw cc::TxnAborted{cc::AbortReason::kDeadlockVictim};
+    co_return cc::AbortReason::kDeadlockVictim;
   }
   if (observer_ != nullptr) {
     observer_->on_grant_accepted(server_.site(), resp.term);
@@ -462,6 +461,7 @@ sim::Task<void> GlobalCeilingClient::acquire(cc::CcTxn& txn,
   }
   count_grant();
   notify_grant(txn, object, mode);
+  co_return std::nullopt;
 }
 
 void GlobalCeilingClient::do_release_all(cc::CcTxn& txn) {
@@ -556,15 +556,18 @@ sim::Priority GlobalExecutor::sched_priority(const cc::CcTxn& ctx) const {
                                         : sim::Priority{0, 0};
 }
 
-sim::Task<void> GlobalExecutor::run(txn::AttemptContext& attempt,
-                                    const txn::TransactionSpec& spec) {
+sim::Task<std::optional<cc::AbortReason>> GlobalExecutor::run(
+    txn::AttemptContext& attempt, const txn::TransactionSpec& spec) {
   cc::CcTxn& ctx = attempt.ctx;
   services_.cc->on_begin(ctx);
   attempt.began = true;
   const SiteId home = spec.home_site;
 
   for (const cc::Operation& op : spec.access.operations()) {
-    co_await services_.cc->acquire(ctx, op.object, op.mode);
+    if (auto aborted =
+            co_await services_.cc->acquire(ctx, op.object, op.mode)) {
+      co_return aborted;
+    }
     if (services_.history != nullptr) {
       services_.history->record(spec.id, op.object, op.mode);
     }
@@ -583,7 +586,7 @@ sim::Task<void> GlobalExecutor::run(txn::AttemptContext& attempt,
   }
 
   const auto writes = spec.access.write_set();
-  if (writes.empty()) co_return;
+  if (writes.empty()) co_return std::nullopt;
 
   if (services_.schema->placement() == db::Placement::kFullyReplicated) {
     // Synchronous replicated commit: compute the new versions under the
@@ -606,11 +609,11 @@ sim::Task<void> GlobalExecutor::run(txn::AttemptContext& attempt,
     }
     const bool ok = co_await services_.coordinator->commit(
         spec.id, participants, costs_.vote_timeout);
-    if (!ok) throw cc::TxnAborted{cc::AbortReason::kSystem};
+    if (!ok) co_return cc::AbortReason::kSystem;
     for (std::size_t i = 0; i < writes.size(); ++i) {
       services_.rm->apply_update(writes[i], versions[i]);
     }
-    co_return;
+    co_return std::nullopt;
   }
 
   // Partitioned placement: 2PC across the owner sites of the write set.
@@ -631,11 +634,12 @@ sim::Task<void> GlobalExecutor::run(txn::AttemptContext& attempt,
   }
   const bool ok = co_await services_.coordinator->commit(
       spec.id, participants, costs_.vote_timeout);
-  if (!ok) throw cc::TxnAborted{cc::AbortReason::kSystem};
+  if (!ok) co_return cc::AbortReason::kSystem;
   if (!local_writes.empty()) {
     co_await services_.rm->commit_writes(spec.id, local_writes,
                                          sched_priority(ctx));
   }
+  co_return std::nullopt;
 }
 
 void GlobalExecutor::release(txn::AttemptContext& attempt,

@@ -220,8 +220,9 @@ class GlobalCeilingManager {
   void reap_orphan(std::uint64_t txn, std::uint32_t attempt);
   void remove_mirror(std::unordered_map<
                      std::uint64_t, std::unique_ptr<Mirror>>::iterator it);
-  // PCP backstop hook (dynamic-arrival deadlock at the manager).
-  void abort_mirror(db::TxnId victim, cc::AbortReason reason);
+  // PCP backstop hook (dynamic-arrival deadlock at the manager). Returns
+  // true when the victim's own waiting grant is the running process.
+  bool abort_mirror(db::TxnId victim, cc::AbortReason reason);
   void finish_abort(Mirror& mirror);
 
   net::MessageServer& server_;
@@ -246,7 +247,7 @@ class GlobalCeilingManager {
 // The client-side controller each site runs: every protocol step is a
 // message to the manager. acquire() blocks for the round trip and for the
 // (possibly long) remote ceiling blocking; a denial (the manager aborted
-// the transaction) surfaces as TxnAborted, restarting the attempt.
+// the transaction) returns kDeadlockVictim, restarting the attempt.
 class GlobalCeilingClient : public cc::ConcurrencyController {
  public:
   struct Options {
@@ -265,8 +266,8 @@ class GlobalCeilingClient : public cc::ConcurrencyController {
                       net::RpcClient& rpc, Options options,
                       net::ReliableChannel* channel);
 
-  sim::Task<void> acquire(cc::CcTxn& txn, db::ObjectId object,
-                          cc::LockMode mode) override;
+  sim::Task<std::optional<cc::AbortReason>> acquire(
+      cc::CcTxn& txn, db::ObjectId object, cc::LockMode mode) override;
   std::string_view name() const override { return "PCP-global"; }
 
   net::SiteId manager_site() const { return manager_site_; }
@@ -413,8 +414,8 @@ class GlobalExecutor : public txn::TxnExecutor {
 
   GlobalExecutor(Services services, Costs costs);
 
-  sim::Task<void> run(txn::AttemptContext& attempt,
-                      const txn::TransactionSpec& spec) override;
+  sim::Task<std::optional<cc::AbortReason>> run(
+      txn::AttemptContext& attempt, const txn::TransactionSpec& spec) override;
   void release(txn::AttemptContext& attempt, const txn::TransactionSpec& spec,
                bool committed) override;
 

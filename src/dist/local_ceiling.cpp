@@ -16,8 +16,8 @@ sim::Priority ReplicatedExecutor::sched_priority(const cc::CcTxn& ctx) const {
                                         : sim::Priority{0, 0};
 }
 
-sim::Task<void> ReplicatedExecutor::run(txn::AttemptContext& attempt,
-                                        const txn::TransactionSpec& spec) {
+sim::Task<std::optional<cc::AbortReason>> ReplicatedExecutor::run(
+    txn::AttemptContext& attempt, const txn::TransactionSpec& spec) {
   cc::CcTxn& ctx = attempt.ctx;
   services_.cc->on_begin(ctx);
   attempt.began = true;
@@ -27,7 +27,10 @@ sim::Task<void> ReplicatedExecutor::run(txn::AttemptContext& attempt,
     assert(services_.rm->schema().has_copy(spec.home_site, op.object));
     assert(op.mode == cc::LockMode::kRead ||
            services_.rm->schema().is_primary(spec.home_site, op.object));
-    co_await services_.cc->acquire(ctx, op.object, op.mode);
+    if (auto aborted =
+            co_await services_.cc->acquire(ctx, op.object, op.mode)) {
+      co_return aborted;
+    }
     if (services_.history != nullptr) {
       services_.history->record(spec.id, op.object, op.mode);
     }
@@ -44,6 +47,7 @@ sim::Task<void> ReplicatedExecutor::run(txn::AttemptContext& attempt,
                                                          sched_priority(ctx));
     services_.replication->propagate(writes, versions);
   }
+  co_return std::nullopt;
 }
 
 void ReplicatedExecutor::release(txn::AttemptContext& attempt,

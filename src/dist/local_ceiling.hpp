@@ -36,8 +36,8 @@ class ReplicatedExecutor : public txn::TxnExecutor {
 
   ReplicatedExecutor(Services services, Costs costs);
 
-  sim::Task<void> run(txn::AttemptContext& attempt,
-                      const txn::TransactionSpec& spec) override;
+  sim::Task<std::optional<cc::AbortReason>> run(
+      txn::AttemptContext& attempt, const txn::TransactionSpec& spec) override;
   void release(txn::AttemptContext& attempt, const txn::TransactionSpec& spec,
                bool committed) override;
 

@@ -146,9 +146,8 @@ void PartitionedCeilingClient::do_begin(cc::CcTxn& txn) {
   for (const auto& [shard, msg] : by_shard) send_control(shard, msg);
 }
 
-sim::Task<void> PartitionedCeilingClient::acquire(cc::CcTxn& txn,
-                                                  db::ObjectId object,
-                                                  cc::LockMode mode) {
+sim::Task<std::optional<cc::AbortReason>> PartitionedCeilingClient::acquire(
+    cc::CcTxn& txn, db::ObjectId object, cc::LockMode mode) {
   const std::uint32_t shard = options_.shard_of(object);
   // The round trip plus any remote ceiling blocking counts as blocked
   // time, exactly as under the global scheme.
@@ -195,7 +194,7 @@ sim::Task<void> PartitionedCeilingClient::acquire(cc::CcTxn& txn,
   if (!resp.granted) {
     count_protocol_abort();
     notify_abort(txn.id, cc::AbortReason::kDeadlockVictim);
-    throw cc::TxnAborted{cc::AbortReason::kDeadlockVictim};
+    co_return cc::AbortReason::kDeadlockVictim;
   }
   if (sh.observer != nullptr) {
     sh.observer->on_grant_accepted(server_.site(), resp.term);
@@ -208,6 +207,7 @@ sim::Task<void> PartitionedCeilingClient::acquire(cc::CcTxn& txn,
   }
   count_grant();
   notify_grant(txn, object, mode);
+  co_return std::nullopt;
 }
 
 void PartitionedCeilingClient::do_release_all(cc::CcTxn& txn) {

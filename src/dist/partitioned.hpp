@@ -82,8 +82,8 @@ class PartitionedCeilingClient : public cc::ConcurrencyController {
                            net::ReliableChannel* channel,
                            net::BatchChannel* batch);
 
-  sim::Task<void> acquire(cc::CcTxn& txn, db::ObjectId object,
-                          cc::LockMode mode) override;
+  sim::Task<std::optional<cc::AbortReason>> acquire(
+      cc::CcTxn& txn, db::ObjectId object, cc::LockMode mode) override;
   std::string_view name() const override { return "PCP-part"; }
 
   net::SiteId manager_site(std::uint32_t shard) const {

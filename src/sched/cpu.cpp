@@ -113,7 +113,6 @@ void PreemptiveCpu::complete(JobId id) {
   ++job.generation;
   --live_jobs_;
   free_slots_.push_back(id.slot);
-  node->owner = nullptr;
   kernel_.wake_later(*node, WakeStatus::kOk);
   reschedule();
 }

@@ -48,7 +48,7 @@ class PreemptiveCpu : public sim::Waitable {
 
     bool await_ready() const { return work_.is_zero(); }
     void await_suspend(std::coroutine_handle<> h);
-    void await_resume() const { sim::Kernel::check_cancelled(node_); }
+    void await_resume() const noexcept {}
 
    private:
     friend class PreemptiveCpu;

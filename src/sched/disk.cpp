@@ -55,7 +55,6 @@ void IoSubsystem::finish_service(IoAwaiter& awaiter) {
   busy_accum_ += awaiter.service_;
   awaiter.in_service_ = false;
   awaiter.completion_ = {};
-  awaiter.node_.owner = nullptr;
   kernel_.wake_later(awaiter.node_, WakeStatus::kOk);
   dispatch_next();
 }

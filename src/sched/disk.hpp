@@ -36,7 +36,7 @@ class IoSubsystem : public sim::Waitable {
 
     bool await_ready() const { return service_.is_zero(); }
     void await_suspend(std::coroutine_handle<> h);
-    void await_resume() const { sim::Kernel::check_cancelled(node_); }
+    void await_resume() const noexcept {}
 
    private:
     friend class IoSubsystem;

@@ -29,8 +29,6 @@ ProcessId Kernel::spawn(std::string name, Task<void> body) {
 
 void Kernel::kill(ProcessId id) {
   Process& p = get(id);
-  if (p.done()) return;
-  p.kill_requested_ = true;
   switch (p.state_) {
     case ProcessState::kCreated:
       cancel_event(p.start_event_);
@@ -43,15 +41,24 @@ void Kernel::kill(ProcessId id) {
       throw ProcessCancelled{};
     case ProcessState::kWaiting: {
       WaitNode& node = *p.waiting_on_;
-      if (node.owner != nullptr) {
-        node.owner->cancel_wait(node);
-        node.owner = nullptr;
-      } else if (node.pending_wake.valid()) {
-        // A wake was already scheduled; revoke it and unwind now instead.
+      if (node.pending_wake.valid()) {
+        // Already woken: revoke the wake, and the owner takes back what it
+        // handed over with it.
         cancel_event(node.pending_wake);
         node.pending_wake = {};
+        node.owner->revoke_wake(node);
+      } else {
+        node.owner->cancel_wait(node);
       }
-      wake_now(node, WakeStatus::kCancelled);
+      // Destroy the frame chain from the top: each frame destroys the task
+      // it awaits first, so destructors run innermost first, with the
+      // victim current and running as if it were executing them.
+      p.waiting_on_ = nullptr;
+      p.state_ = ProcessState::kRunning;
+      Process* prev = std::exchange(current_, &p);
+      p.body_ = Task<void>{};
+      current_ = prev;
+      finalize(p);
       break;
     }
     case ProcessState::kDone:
@@ -108,8 +115,6 @@ void Kernel::wake_now(WaitNode& node, WakeStatus status) {
 }
 
 void Kernel::wake_later(WaitNode& node, WakeStatus status) {
-  assert(node.owner == nullptr &&
-         "primitive must dequeue the node before scheduling its wake");
   assert(!node.pending_wake.valid());
   node.status = status;
   node.pending_wake = schedule_at(now_, [this, &node] {
@@ -161,7 +166,7 @@ void Kernel::finalize(Process& p) {
     try {
       std::rethrow_exception(escaped);
     } catch (const ProcessCancelled&) {
-      // Normal kill path: the cancellation unwound the whole body.
+      // Self-kill: the cancellation unwound the whole body.
     }
     // Any other exception type propagates out of the rethrow above and
     // escapes Kernel::run(), surfacing the bug to the caller/test.
@@ -171,13 +176,8 @@ void Kernel::finalize(Process& p) {
 void Kernel::DelayAwaiter::await_suspend(std::coroutine_handle<> h) {
   kernel_.prepare_wait(node_, this, h);
   event_ = kernel_.schedule_in(delay_, [this] {
-    node_.owner = nullptr;
     kernel_.wake_now(node_, WakeStatus::kOk);
   });
-}
-
-void Kernel::DelayAwaiter::await_resume() const {
-  Kernel::check_cancelled(node_);
 }
 
 void Kernel::DelayAwaiter::cancel_wait(WaitNode& node) noexcept {

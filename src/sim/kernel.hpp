@@ -34,9 +34,13 @@ class Kernel {
 
   // ---- process control ----
   ProcessId spawn(std::string name, Task<void> body);
-  // Kills a process: if blocked, its wait is cancelled and ProcessCancelled
-  // unwinds it immediately (RAII releases its resources); if not yet
-  // started, it never runs. Killing the current process throws directly.
+  // Kills a process. If blocked, its wait is cancelled (a credit or item
+  // already handed to it goes back to the primitive) and its coroutine
+  // frames are destroyed in place, innermost first, before kill returns:
+  // RAII releases its resources, and nothing after its suspension point
+  // runs. During that destruction the victim is current() and alive(). If
+  // not yet started, it never runs. Killing the current process throws
+  // ProcessCancelled.
   void kill(ProcessId id);
   bool alive(ProcessId id) const;
   Process* current() const { return current_; }
@@ -61,7 +65,7 @@ class Kernel {
     DelayAwaiter(Kernel& kernel, Duration d) : kernel_(kernel), delay_(d) {}
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h);
-    void await_resume() const;
+    void await_resume() const noexcept {}
     void cancel_wait(WaitNode& node) noexcept override;
 
    private:
@@ -83,16 +87,12 @@ class Kernel {
   void prepare_wait(WaitNode& node, Waitable* owner,
                     std::coroutine_handle<> h);
   // Resumes the blocked process immediately (same virtual instant),
-  // re-entrantly safe. Used by kill and by event callbacks.
+  // re-entrantly safe. Used by event callbacks.
   void wake_now(WaitNode& node, WakeStatus status);
   // Schedules the wake as an event at the current time; preferred by
   // primitives so a release never runs the waiter in the middle of the
-  // releaser's statement.
+  // releaser's statement. The primitive must have dequeued the node.
   void wake_later(WaitNode& node, WakeStatus status);
-  // Throws ProcessCancelled if the wake carried kCancelled.
-  static void check_cancelled(const WaitNode& node) {
-    if (node.status == WakeStatus::kCancelled) throw ProcessCancelled{};
-  }
 
   Tracer& tracer() { return tracer_; }
 

@@ -51,22 +51,13 @@ class Mailbox : public Waitable {
       if (timeout_.has_value()) {
         timeout_event_ = mb_.kernel_.schedule_in(*timeout_, [this] {
           mb_.receivers_.remove(node_);
-          node_.owner = nullptr;
           mb_.kernel_.wake_now(node_, WakeStatus::kTimeout);
         });
       }
     }
 
-    std::optional<T> await_resume() {
-      if (node_.status == WakeStatus::kCancelled) {
-        // A message may have been delivered into our slot before the kill;
-        // put it back at the head so it is not lost.
-        if (item_.has_value()) mb_.items_.push_front(std::move(*item_));
-        throw ProcessCancelled{};
-      }
-      if (node_.status == WakeStatus::kTimeout) return std::nullopt;
-      return std::move(item_);
-    }
+    // Empty only after a timeout (nothing was delivered into the slot).
+    std::optional<T> await_resume() { return std::move(item_); }
 
    private:
     friend class Mailbox;
@@ -138,7 +129,6 @@ class Mailbox : public Waitable {
       if (timeout_.has_value()) {
         timeout_event_ = mb_.kernel_.schedule_in(*timeout_, [this] {
           mb_.senders_.remove(node_);
-          node_.owner = nullptr;
           mb_.kernel_.wake_now(node_, WakeStatus::kTimeout);
         });
       }
@@ -146,10 +136,7 @@ class Mailbox : public Waitable {
 
     // kOk once a receiver retrieved the message; kTimeout if it was never
     // retrieved in time (the message is then withdrawn).
-    WakeStatus await_resume() {
-      Kernel::check_cancelled(node_);
-      return node_.status;
-    }
+    WakeStatus await_resume() const noexcept { return node_.status; }
 
    private:
     friend class Mailbox;
@@ -200,6 +187,14 @@ class Mailbox : public Waitable {
     }
   }
 
+  // A receiver's scheduled wake carries a delivered message: put it back
+  // at the head so it is not lost. A sender's message was already taken.
+  void revoke_wake(WaitNode& node) noexcept override {
+    if (node.tag != kReceiver) return;
+    auto* receiver = static_cast<ReceiveAwaiter*>(node.ctx);
+    items_.push_front(std::move(*receiver->item_));
+  }
+
  private:
   // Hands `item` to the longest-waiting receiver. Pre: receivers_ nonempty.
   void deliver(T item) {
@@ -210,7 +205,6 @@ class Mailbox : public Waitable {
       kernel_.cancel_event(receiver->timeout_event_);
       receiver->timeout_event_ = {};
     }
-    node->owner = nullptr;
     kernel_.wake_later(*node, WakeStatus::kOk);
   }
 
@@ -219,7 +213,6 @@ class Mailbox : public Waitable {
       kernel_.cancel_event(sender.timeout_event_);
       sender.timeout_event_ = {};
     }
-    node.owner = nullptr;
     kernel_.wake_later(node, WakeStatus::kOk);
   }
 

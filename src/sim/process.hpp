@@ -43,7 +43,6 @@ class Process {
   const std::string& name() const { return name_; }
   ProcessState state() const { return state_; }
   bool done() const { return state_ == ProcessState::kDone; }
-  bool kill_requested() const { return kill_requested_; }
 
  private:
   friend class Kernel;
@@ -52,7 +51,6 @@ class Process {
   std::string name_;
   Task<void> body_;
   ProcessState state_ = ProcessState::kCreated;
-  bool kill_requested_ = false;
   // The wait this process is currently blocked on, if any. Remains set from
   // suspension until the wake actually resumes the coroutine, so kill() can
   // always reach it.

@@ -13,7 +13,7 @@ namespace rtdb::sim {
 // Counting semaphore with FIFO waiters, direct hand-off (a release gives
 // the credit straight to the longest-waiting process, so later arrivals
 // cannot barge), optional timeouts, and kill-safety (a credit handed to a
-// process that is killed before it resumes is returned to the semaphore).
+// process that is killed before it resumes is released again).
 //
 // This is the "private semaphore" blocking primitive of the paper's
 // StarLite kernel.
@@ -32,7 +32,6 @@ class Semaphore : public Waitable {
     bool await_ready() {
       if (sem_.count_ > 0) {
         --sem_.count_;
-        fast_ = true;
         return true;
       }
       return false;
@@ -45,22 +44,12 @@ class Semaphore : public Waitable {
       if (timeout_.has_value()) {
         timeout_event_ = sem_.kernel_.schedule_in(*timeout_, [this] {
           sem_.waiters_.remove(node_);
-          node_.owner = nullptr;
           sem_.kernel_.wake_now(node_, WakeStatus::kTimeout);
         });
       }
     }
 
-    WakeStatus await_resume() {
-      if (fast_) return WakeStatus::kOk;
-      if (node_.status == WakeStatus::kCancelled) {
-        // A grant may already have been handed to us; give it back so the
-        // credit is not lost.
-        if (granted_) sem_.release(1);
-        throw ProcessCancelled{};
-      }
-      return node_.status;
-    }
+    WakeStatus await_resume() const noexcept { return node_.status; }
 
    private:
     friend class Semaphore;
@@ -68,12 +57,9 @@ class Semaphore : public Waitable {
     std::optional<Duration> timeout_;
     WaitNode node_{};
     EventId timeout_event_{};
-    bool granted_ = false;
-    bool fast_ = false;
   };
 
-  // Blocks until a credit is available. Always resumes with kOk (or throws
-  // ProcessCancelled if the process is killed while blocked).
+  // Blocks until a credit is available. Always resumes with kOk.
   AcquireAwaiter acquire() { return AcquireAwaiter{*this, std::nullopt}; }
 
   // As acquire(), but gives up after `timeout`, resuming with kTimeout.
@@ -92,12 +78,10 @@ class Semaphore : public Waitable {
     while (n > 0 && !waiters_.empty()) {
       WaitNode* node = waiters_.pop_front();
       auto* awaiter = static_cast<AcquireAwaiter*>(node->ctx);
-      awaiter->granted_ = true;
       if (awaiter->timeout_event_.valid()) {
         kernel_.cancel_event(awaiter->timeout_event_);
         awaiter->timeout_event_ = {};
       }
-      node->owner = nullptr;
       kernel_.wake_later(*node, WakeStatus::kOk);
       --n;
     }
@@ -114,6 +98,13 @@ class Semaphore : public Waitable {
       kernel_.cancel_event(awaiter->timeout_event_);
       awaiter->timeout_event_ = {};
     }
+  }
+
+  // The only scheduled wake is a release's hand-off: the victim never used
+  // the credit, so pass it on.
+  void revoke_wake(WaitNode& node) noexcept override {
+    (void)node;
+    release(1);
   }
 
  private:

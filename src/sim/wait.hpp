@@ -10,17 +10,17 @@ namespace rtdb::sim {
 
 class Process;
 
-// Outcome a blocked process observes when it is woken.
+// Outcome a blocked process observes when it is woken. A killed process
+// is never woken: Kernel::kill destroys its frames instead.
 enum class WakeStatus : std::uint8_t {
-  kOk,         // the awaited condition was satisfied
-  kCancelled,  // the process was killed while blocked
-  kTimeout,    // a timed wait expired
+  kOk,       // the awaited condition was satisfied
+  kTimeout,  // a timed wait expired
 };
 
-// Thrown inside a process when it is killed while blocked (deadline miss,
-// deadlock-victim abort, explicit kill). Process code lets it propagate —
-// RAII cleanup along the unwind path releases any held resources — or
-// catches it at a well-defined boundary (the transaction wrapper does).
+// Thrown by Kernel::kill when a process kills itself, the one kill that
+// runs inside its victim; the process ends once it escapes the body. A
+// kill from anywhere else throws nothing: it destroys the blocked victim's
+// coroutine frames in place (see Kernel::kill).
 class ProcessCancelled : public std::runtime_error {
  public:
   ProcessCancelled() : std::runtime_error("process cancelled") {}
@@ -34,29 +34,33 @@ class Waitable;
 struct WaitNode {
   Process* proc = nullptr;
   std::coroutine_handle<> handle{};
-  // Primitive currently queueing this node; null once the node has been
-  // dequeued (e.g. a wake is already scheduled).
+  // Primitive the process is blocked on, for the whole wait.
   Waitable* owner = nullptr;
   WakeStatus status = WakeStatus::kOk;
-  // Set while a deferred wake (Kernel::wake_later) is scheduled, so kill()
-  // can cancel it and unwind the process immediately instead.
+  // Set while a deferred wake (Kernel::wake_later) is scheduled: the owner
+  // has dequeued the node and may have handed it a credit or an item.
+  // kill() then revokes the wake instead of cancelling a queued wait.
   EventId pending_wake{};
   // Scratch fields for the owner: which internal queue the node is in, and
   // a back-pointer to the awaiter holding per-wait extras (timeout timer,
-  // grant flag, delivered item).
+  // delivered item).
   int tag = 0;
   void* ctx = nullptr;
   WaitNode* prev_ = nullptr;
   WaitNode* next_ = nullptr;
 };
 
-// Interface every blocking primitive implements so the kernel can revoke a
-// pending wait when the blocked process is killed. cancel_wait() must
-// unlink the node from the primitive's queues and undo any grant already
-// attributed to it; it must not resume the process (the kernel does that).
+// Interface every blocking primitive implements so the kernel can end a
+// wait when the blocked process is killed. Neither call may resume the
+// process: the kernel destroys its frames right after.
 class Waitable {
  public:
+  // The wait is still in progress: unlink the node from the primitive's
+  // queues and undo whatever is pending for it (a timer, a job).
   virtual void cancel_wait(WaitNode& node) noexcept = 0;
+  // The node was dequeued and its wake scheduled, and the kernel has just
+  // cancelled that wake: take back whatever the wake handed over.
+  virtual void revoke_wake(WaitNode& node) noexcept { (void)node; }
 
  protected:
   ~Waitable() = default;

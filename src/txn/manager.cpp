@@ -27,7 +27,7 @@ TransactionManager::~TransactionManager() {
 void TransactionManager::install_hooks() {
   cc_.set_hooks(cc::ControllerHooks{
       [this](db::TxnId victim, cc::AbortReason reason) {
-        abort_attempt(victim, reason);
+        return abort_attempt(victim, reason);
       },
       [this](const cc::CcTxn& ctx) {
         if (cpu_ == nullptr) return;
@@ -154,33 +154,22 @@ void TransactionManager::start_attempt(Live& live) {
 }
 
 sim::Task<void> TransactionManager::attempt_body(Live& live) {
-  bool committed = false;
-  bool restart = false;
-  cc::AbortReason reason = cc::AbortReason::kSystem;
-  try {
-    co_await executor_.run(live.attempt, live.spec);
-    committed = true;
-  } catch (const cc::TxnAborted& aborted) {
-    restart = true;
-    reason = aborted.reason();
-  }
-  // Kill paths (deadline, hook abort) unwind past this point with
-  // ProcessCancelled; their cleanup runs in deadline_expired /
-  // abort_attempt instead.
+  const std::optional<cc::AbortReason> aborted =
+      co_await executor_.run(live.attempt, live.spec);
+  // Kill paths (deadline, hook abort) destroy this frame at the await
+  // above; their cleanup runs in deadline_expired / abort_attempt instead.
   collect_attempt_stats(live);
-  executor_.release(live.attempt, live.spec, committed);
-  if (committed) {
+  executor_.release(live.attempt, live.spec, /*committed=*/!aborted);
+  if (!aborted) {
     finish(live, true);
   } else {
-    assert(restart);
-    (void)restart;
     monitor_.on_restart(live.spec.id);
     ++restarts_;
-    schedule_restart(live, reason);
+    schedule_restart(live, *aborted);
   }
 }
 
-void TransactionManager::abort_attempt(db::TxnId victim,
+bool TransactionManager::abort_attempt(db::TxnId victim,
                                        cc::AbortReason reason) {
   auto it = live_.find(victim);
   assert(it != live_.end() && "abort hook for unknown transaction");
@@ -188,8 +177,8 @@ void TransactionManager::abort_attempt(db::TxnId victim,
   assert(live.phase == Phase::kRunning);
   if (kernel_.current() != nullptr && kernel_.current()->id() == live.pid) {
     // The victim is the currently running attempt (it closed the cycle
-    // itself): deliver the abort as an exception so its own body restarts.
-    throw cc::TxnAborted{reason};
+    // itself): its own acquire returns the abort and its body restarts.
+    return true;
   }
   kernel_.kill(live.pid);
   collect_attempt_stats(live);
@@ -197,6 +186,7 @@ void TransactionManager::abort_attempt(db::TxnId victim,
   monitor_.on_restart(live.spec.id);
   ++restarts_;
   schedule_restart(live, reason);
+  return false;
 }
 
 void TransactionManager::schedule_restart(Live& live, cc::AbortReason reason) {

@@ -19,8 +19,8 @@ sim::Priority LocalExecutor::sched_priority(const cc::CcTxn& ctx) const {
                                         : sim::Priority{0, 0};
 }
 
-sim::Task<void> LocalExecutor::run(AttemptContext& attempt,
-                                   const TransactionSpec& spec) {
+sim::Task<std::optional<cc::AbortReason>> LocalExecutor::run(
+    AttemptContext& attempt, const TransactionSpec& spec) {
   cc::CcTxn& ctx = attempt.ctx;
   const std::uint32_t granularity = costs_.lock_granularity;
   // Locks (and the ceiling protocol's declared sets) live at granule
@@ -42,7 +42,10 @@ sim::Task<void> LocalExecutor::run(AttemptContext& attempt,
       const cc::LockMode granule_mode = ctx.access.writes(granule)
                                             ? cc::LockMode::kWrite
                                             : cc::LockMode::kRead;
-      co_await services_.cc->acquire(ctx, granule, granule_mode);
+      if (auto aborted =
+              co_await services_.cc->acquire(ctx, granule, granule_mode)) {
+        co_return aborted;
+      }
       held[held_count++] = granule;
       if (services_.history != nullptr) {
         services_.history->record(spec.id, granule, granule_mode);
@@ -65,6 +68,7 @@ sim::Task<void> LocalExecutor::run(AttemptContext& attempt,
     co_await services_.rm->commit_writes(spec.id, writes,
                                          sched_priority(ctx));
   }
+  co_return std::nullopt;
 }
 
 void LocalExecutor::release(AttemptContext& attempt,

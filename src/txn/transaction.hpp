@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "cc/access_set.hpp"
 #include "cc/controller.hpp"
@@ -65,17 +66,18 @@ struct AttemptContext {
 // distributed ceiling schemes).
 //
 // Contract per attempt:
-//   run()      returns normally => the transaction committed;
-//              throws cc::TxnAborted => protocol restart;
-//              unwinds with ProcessCancelled => the attempt was killed.
+//   run()      returns nullopt => the transaction committed;
+//              returns an AbortReason => protocol restart;
+//              never returns if the attempt is killed (the kill destroys
+//              its frames at the suspension point).
 //   release()  called exactly once after run() ended by any path (by the
-//              body on normal/self-abort paths, by the manager after a
-//              kill); must synchronously free everything the attempt held.
+//              body on commit/self-abort, by the manager after a kill);
+//              must synchronously free everything the attempt held.
 class TxnExecutor {
  public:
   virtual ~TxnExecutor() = default;
-  virtual sim::Task<void> run(AttemptContext& attempt,
-                              const TransactionSpec& spec) = 0;
+  virtual sim::Task<std::optional<cc::AbortReason>> run(
+      AttemptContext& attempt, const TransactionSpec& spec) = 0;
   virtual void release(AttemptContext& attempt, const TransactionSpec& spec,
                        bool committed) = 0;
 };
@@ -107,8 +109,8 @@ class LocalExecutor : public TxnExecutor {
 
   LocalExecutor(Services services, Costs costs);
 
-  sim::Task<void> run(AttemptContext& attempt,
-                      const TransactionSpec& spec) override;
+  sim::Task<std::optional<cc::AbortReason>> run(
+      AttemptContext& attempt, const TransactionSpec& spec) override;
   void release(AttemptContext& attempt, const TransactionSpec& spec,
                bool committed) override;
 

@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "cc/controller.hpp"
@@ -22,7 +23,9 @@ class Rig {
   Rig(sim::Kernel& kernel, ConcurrencyController& cc)
       : kernel_(kernel), cc_(cc) {
     cc_.set_hooks(ControllerHooks{
-        [this](db::TxnId victim, AbortReason reason) { abort(victim, reason); },
+        [this](db::TxnId victim, AbortReason reason) {
+          return abort(victim, reason);
+        },
         [this](const CcTxn& txn) {
           if (on_priority_changed) on_priority_changed(txn);
         }});
@@ -42,25 +45,29 @@ class Rig {
     entries_[ctx.id.value] = Entry{&ctx, pid, false, AbortReason::kSystem};
   }
 
-  // The abort hook: kill the victim's process (unwinding any blocked
-  // acquire via RAII), then release its locks and deregister it — what the
-  // transaction manager does in the full system. When the victim *is* the
-  // currently running process (it closed the cycle with its own request),
-  // aborting is delivered as a TxnAborted exception instead of a kill.
-  void abort(db::TxnId victim, AbortReason reason) {
+  // The abort hook: kill the victim's process (destroying any blocked
+  // acquire, whose RAII guards withdraw the wait), then release its locks
+  // and deregister it — what the transaction manager does in the full
+  // system. When the victim *is* the currently running process (it closed
+  // the cycle with its own request), the hook only reports that: the
+  // victim's acquire then returns the abort.
+  bool abort(db::TxnId victim, AbortReason reason) {
     auto it = entries_.find(victim.value);
-    ASSERT_NE(it, entries_.end()) << "abort hook for unknown txn";
+    EXPECT_NE(it, entries_.end()) << "abort hook for unknown txn";
+    if (it == entries_.end()) return false;
     Entry& entry = it->second;
-    ASSERT_FALSE(entry.hook_aborted);
+    EXPECT_FALSE(entry.hook_aborted);
+    if (entry.hook_aborted) return false;
     entry.hook_aborted = true;
     entry.reason = reason;
     if (kernel_.current() != nullptr &&
         kernel_.current()->id() == entry.pid) {
-      throw TxnAborted{reason};  // self-abort path; RAII cleans up
+      return true;  // self-abort path; acquire's RAII cleans up
     }
     kernel_.kill(entry.pid);
     cc_.release_all(*entry.ctx);
     cc_.on_end(*entry.ctx);
+    return false;
   }
 
   bool hook_aborted(const CcTxn& ctx) const {
@@ -85,25 +92,27 @@ struct ScriptResult {
 
 // A scripted transaction: on_begin, then for each operation acquire and
 // dwell `per_op`, then dwell `tail`, then release and commit. Self-aborts
-// (TxnAborted) are caught and reported; kills unwind past it (the Rig's
-// abort hook performs the release).
+// (an acquire returning a reason) are reported; a kill destroys the body
+// at its suspension point (the Rig's abort hook performs the release).
 inline sim::Task<void> scripted_txn(Rig& rig, CcTxn& ctx,
                                     std::vector<Operation> ops,
                                     sim::Duration per_op, sim::Duration tail,
                                     ScriptResult& result) {
   ctx.access = AccessSet::from_operations(ops);
   rig.cc().on_begin(ctx);
-  try {
-    for (const Operation& op : ops) {
-      co_await rig.cc().acquire(ctx, op.object, op.mode);
-      co_await rig.kernel().delay(per_op);
-    }
+  std::optional<AbortReason> aborted;
+  for (const Operation& op : ops) {
+    aborted = co_await rig.cc().acquire(ctx, op.object, op.mode);
+    if (aborted) break;
+    co_await rig.kernel().delay(per_op);
+  }
+  if (aborted) {
+    result.self_aborted = true;
+    result.self_abort_reason = *aborted;
+  } else {
     co_await rig.kernel().delay(tail);
     result.committed = true;
     result.committed_at = rig.kernel().now().as_units();
-  } catch (const TxnAborted& aborted) {
-    result.self_aborted = true;
-    result.self_abort_reason = aborted.reason();
   }
   rig.cc().release_all(ctx);
   rig.cc().on_end(ctx);

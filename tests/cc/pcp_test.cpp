@@ -111,14 +111,13 @@ TEST(PcpTest, CeilingDenialOnUnlockedObject) {
   auto late_accessor = [](Rig& rig, CcTxn& ctx, ScriptResult& r) -> sim::Task<void> {
     ctx.access = AccessSet::reads_then_writes({}, {0});
     rig.cc().on_begin(ctx);
-    try {
-      co_await rig.kernel().delay(Duration::units(15));
-      co_await rig.cc().acquire(ctx, 0, LockMode::kWrite);
+    co_await rig.kernel().delay(Duration::units(15));
+    if (co_await rig.cc().acquire(ctx, 0, LockMode::kWrite)) {
+      r.self_aborted = true;
+    } else {
       co_await rig.kernel().delay(Duration::units(1));
       r.committed = true;
       r.committed_at = rig.kernel().now().as_units();
-    } catch (const TxnAborted&) {
-      r.self_aborted = true;
     }
     rig.cc().release_all(ctx);
     rig.cc().on_end(ctx);
@@ -249,6 +248,55 @@ TEST(PcpTest, KilledWaiterRestoresState) {
   EXPECT_EQ(cc.active_transactions(), 0u);
 }
 
+// A dynamic-arrival cycle that the requester's own acquire closes, with
+// the requester as the backstop's victim: acquire returns the abort
+// instead of blocking, the hook only reports it, and the protocol drains.
+TEST(PcpTest, BackstopCanPickTheRequesterItself) {
+  Kernel k;
+  PriorityCeiling cc{k, 10};
+  Rig rig{k, cc};
+  CcTxn a = make_txn(1, 2), b = make_txn(2, 3), c = make_txn(3, 1);
+  ScriptResult ra, rb, rc;
+  // b (lowest) locks 1 at t=0 and requests 3 at t=10; a locks 0 at t=1
+  // (it outranks 1's ceiling, b) and requests 2 at t=21.
+  spawn_scripted(rig, b, {{1, LockMode::kWrite}, {3, LockMode::kWrite}},
+                 tu(0), tu(10), tu(0), rb);
+  spawn_scripted(rig, a, {{0, LockMode::kWrite}, {2, LockMode::kWrite}},
+                 tu(1), tu(20), tu(0), ra);
+  // c (highest) declares a write of the locked object 1 at t=5, raising
+  // its ceiling above a, and only accesses it at t=50.
+  auto late_writer = [](Rig& rig, CcTxn& ctx,
+                        ScriptResult& r) -> sim::Task<void> {
+    co_await rig.kernel().delay(Duration::units(5));
+    ctx.access = AccessSet::reads_then_writes({}, {1});
+    rig.cc().on_begin(ctx);
+    co_await rig.kernel().delay(Duration::units(45));
+    if (!co_await rig.cc().acquire(ctx, 1, LockMode::kWrite)) {
+      r.committed = true;
+      r.committed_at = rig.kernel().now().as_units();
+    }
+    rig.cc().release_all(ctx);
+    rig.cc().on_end(ctx);
+  };
+  rig.track(c, k.spawn("c", late_writer(rig, c, rc)));
+  // At t=10 b blocks on a (holder of 0); at t=21 a blocks on b (holder of
+  // 1, now at c's ceiling) and closes the cycle. Both inherit the same
+  // priority, so the backstop keeps the first member it finds: a.
+  k.run();
+  EXPECT_TRUE(ra.self_aborted);
+  EXPECT_EQ(ra.self_abort_reason, AbortReason::kDeadlockVictim);
+  EXPECT_TRUE(rig.hook_aborted(a));
+  EXPECT_FALSE(rig.hook_aborted(b));
+  EXPECT_EQ(cc.dynamic_deadlocks(), 1u);
+  // a's release at t=21 grants b its request; b commits at 31, c at 50.
+  EXPECT_TRUE(rb.committed);
+  EXPECT_EQ(rb.committed_at, 31.0);
+  EXPECT_TRUE(rc.committed);
+  EXPECT_EQ(rc.committed_at, 50.0);
+  std::string why;
+  EXPECT_TRUE(cc.quiescent(&why)) << why;
+}
+
 // Property sweep: random transaction mixes with dynamic arrivals. Every
 // run must terminate, every transaction must either commit or be one of
 // the (rare) dynamic-arrival backstop victims, and the protocol state must
@@ -349,18 +397,20 @@ TEST_P(PcpStaticTheoremTest, StaticSetsNeverDeadlockAndBlockThroughOneLock) {
                         ScriptResult& result) -> sim::Task<void> {
     ctx.access = AccessSet::from_operations(ops);
     rig.cc().on_begin(ctx);
-    try {
-      co_await rig.kernel().delay(Duration::units(1));
-      for (const Operation& op : ops) {
-        co_await rig.cc().acquire(ctx, op.object, op.mode);
-        co_await rig.kernel().delay(per_op);
-      }
+    co_await rig.kernel().delay(Duration::units(1));
+    std::optional<AbortReason> aborted;
+    for (const Operation& op : ops) {
+      aborted = co_await rig.cc().acquire(ctx, op.object, op.mode);
+      if (aborted) break;
+      co_await rig.kernel().delay(per_op);
+    }
+    if (aborted) {
+      result.self_aborted = true;
+      result.self_abort_reason = *aborted;
+    } else {
       co_await rig.kernel().delay(tail);
       result.committed = true;
       result.committed_at = rig.kernel().now().as_units();
-    } catch (const TxnAborted& aborted) {
-      result.self_aborted = true;
-      result.self_abort_reason = aborted.reason();
     }
     rig.cc().release_all(ctx);
     rig.cc().on_end(ctx);

@@ -56,13 +56,12 @@ TEST(TsoTest, LateReadUnderNewerWriteRejected) {
   auto slow_reader = [](Rig& rig, CcTxn& ctx, ScriptResult& r) -> sim::Task<void> {
     ctx.access = AccessSet::reads_then_writes({0}, {});
     rig.cc().on_begin(ctx);
-    try {
-      co_await rig.kernel().delay(Duration::units(10));
-      co_await rig.cc().acquire(ctx, 0, LockMode::kRead);
-      r.committed = true;
-    } catch (const TxnAborted& a) {
+    co_await rig.kernel().delay(Duration::units(10));
+    if (auto a = co_await rig.cc().acquire(ctx, 0, LockMode::kRead)) {
       r.self_aborted = true;
-      r.self_abort_reason = a.reason();
+      r.self_abort_reason = *a;
+    } else {
+      r.committed = true;
     }
     rig.cc().release_all(ctx);
     rig.cc().on_end(ctx);
@@ -86,12 +85,11 @@ TEST(TsoTest, LateWriteUnderNewerReadRejected) {
   auto slow_writer = [](Rig& rig, CcTxn& ctx, ScriptResult& r) -> sim::Task<void> {
     ctx.access = AccessSet::reads_then_writes({}, {0});
     rig.cc().on_begin(ctx);
-    try {
-      co_await rig.kernel().delay(Duration::units(10));
-      co_await rig.cc().acquire(ctx, 0, LockMode::kWrite);
-      r.committed = true;
-    } catch (const TxnAborted& a) {
+    co_await rig.kernel().delay(Duration::units(10));
+    if (co_await rig.cc().acquire(ctx, 0, LockMode::kWrite)) {
       r.self_aborted = true;
+    } else {
+      r.committed = true;
     }
     rig.cc().release_all(ctx);
     rig.cc().on_end(ctx);
@@ -127,24 +125,23 @@ TEST(TsoTest, RestartWithFreshTimestampSucceedsAgainstOldConflict) {
   CcTxn t1 = make_txn(1, 1), t2 = make_txn(2, 2);
   cc.on_begin(t1);
   cc.on_begin(t2);
+  bool write_ok = false;
   bool first_rejected = false;
   bool second_ok = false;
   k.spawn("seq", [](Kernel&, TimestampOrdering& cc, CcTxn& t1, CcTxn& t2,
-                    bool& first_rejected, bool& second_ok) -> sim::Task<void> {
-    co_await cc.acquire(t2, 0, LockMode::kWrite);  // wts(0) = 2
-    try {
-      co_await cc.acquire(t1, 0, LockMode::kRead);
-    } catch (const TxnAborted&) {
-      first_rejected = true;
-    }
+                    bool& write_ok, bool& first_rejected,
+                    bool& second_ok) -> sim::Task<void> {
+    // wts(0) = 2
+    write_ok = !(co_await cc.acquire(t2, 0, LockMode::kWrite)).has_value();
+    first_rejected = (co_await cc.acquire(t1, 0, LockMode::kRead)).has_value();
     cc.on_end(t1);   // abort attempt 1
     cc.on_begin(t1); // restart: fresh timestamp (3)
-    co_await cc.acquire(t1, 0, LockMode::kRead);
-    second_ok = true;
+    second_ok = !(co_await cc.acquire(t1, 0, LockMode::kRead)).has_value();
     cc.on_end(t1);
     cc.on_end(t2);
-  }(k, cc, t1, t2, first_rejected, second_ok));
+  }(k, cc, t1, t2, write_ok, first_rejected, second_ok));
   k.run();
+  EXPECT_TRUE(write_ok);
   EXPECT_TRUE(first_rejected);
   EXPECT_TRUE(second_ok);
 }

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/semaphore.hpp"
+
 namespace rtdb::sim {
 namespace {
 
@@ -161,22 +163,112 @@ TEST(KernelTest, KillIsIdempotent) {
   EXPECT_FALSE(k.alive(p));
 }
 
-TEST(KernelTest, ProcessCancelledCanBeCaughtAtBoundary) {
+// A kill destroys the blocked process in place: nothing after its
+// suspension point runs, not even a handler written to catch the kill.
+TEST(KernelTest, KilledProcessRunsNothingAfterSuspensionPoint) {
   Kernel k;
-  bool observed = false;
-  ProcessId p = k.spawn("p", [](Kernel& k, bool& observed) -> Task<void> {
-    try {
-      co_await k.delay(Duration::units(50));
-    } catch (const ProcessCancelled&) {
-      observed = true;  // boundary handling, then finish normally
-    }
-  }(k, observed));
+  int steps = 0;
+  bool caught = false;
+  ProcessId p = k.spawn(
+      "p", [](Kernel& k, int& steps, bool& caught) -> Task<void> {
+        try {
+          co_await k.delay(Duration::units(50));
+          ++steps;
+        } catch (...) {
+          caught = true;
+        }
+        ++steps;
+      }(k, steps, caught));
   k.spawn("killer", [](Kernel& k, ProcessId p) -> Task<void> {
     co_await k.delay(Duration::units(1));
     k.kill(p);
   }(k, p));
   k.run();
-  EXPECT_TRUE(observed);
+  EXPECT_EQ(steps, 0);
+  EXPECT_FALSE(caught);
+  EXPECT_FALSE(k.alive(p));
+  EXPECT_EQ(k.live_process_count(), 0u);
+  EXPECT_EQ(k.now().as_units(), 1.0);  // the 50tu delay was cancelled
+}
+
+// Killing the running process itself throws ProcessCancelled inside it;
+// the unwind runs its destructors and ends it without escaping run().
+TEST(KernelTest, SelfKillUnwindsTheRunningProcess) {
+  Kernel k;
+  bool cleanup_ran = false;
+  bool finished = false;
+  struct Guard {
+    bool& flag;
+    ~Guard() { flag = true; }
+  };
+  ProcessId p = k.spawn(
+      "p", [](Kernel& k, bool& cleanup_ran, bool& finished) -> Task<void> {
+        Guard g{cleanup_ran};
+        co_await k.delay(Duration::units(1));
+        k.kill(k.current()->id());
+        finished = true;
+      }(k, cleanup_ran, finished));
+  EXPECT_NO_THROW(k.run());
+  EXPECT_TRUE(cleanup_ran);
+  EXPECT_FALSE(finished);
+  EXPECT_FALSE(k.alive(p));
+}
+
+// The Cleanup -> abort hook -> kill chain of the protocols: a destructor
+// running in a dying process kills a second blocked process. Each victim
+// is current while its own frames die, and both frame chains are gone
+// before the outer kill returns.
+TEST(KernelTest, DestructorOfKilledProcessKillsAnother) {
+  Kernel k;
+  Semaphore sem{k, 0};
+  std::vector<std::string> log;
+  ProcessId second{};
+  struct KillOnExit {
+    Kernel& k;
+    std::vector<std::string>& log;
+    ProcessId& other;
+    ~KillOnExit() {
+      log.push_back("first dies in " + k.current()->name());
+      k.kill(other);
+      log.push_back("first resumes dying in " + k.current()->name());
+    }
+  };
+  struct LogOnExit {
+    Kernel& k;
+    std::vector<std::string>& log;
+    ~LogOnExit() { log.push_back("second dies in " + k.current()->name()); }
+  };
+  auto first_body = [](Kernel& k, std::vector<std::string>& log,
+                       ProcessId& second) -> Task<void> {
+    KillOnExit guard{k, log, second};
+    co_await k.delay(Duration::units(100));
+  };
+  auto second_body = [](Kernel& k, Semaphore& sem,
+                        std::vector<std::string>& log) -> Task<void> {
+    LogOnExit guard{k, log};
+    co_await sem.acquire();
+  };
+  auto killer_body = [](Kernel& k, Semaphore& sem, ProcessId first,
+                        ProcessId second,
+                        std::vector<std::string>& log) -> Task<void> {
+    co_await k.delay(Duration::units(1));
+    EXPECT_EQ(sem.waiter_count(), 1u);
+    k.kill(first);
+    const std::vector<std::string> expected{"first dies in first",
+                                            "second dies in second",
+                                            "first resumes dying in first"};
+    EXPECT_EQ(log, expected);
+    EXPECT_FALSE(k.alive(first));
+    EXPECT_FALSE(k.alive(second));
+    EXPECT_EQ(sem.waiter_count(), 0u);
+    EXPECT_EQ(k.current()->name(), "killer");
+  };
+  const ProcessId first = k.spawn("first", first_body(k, log, second));
+  second = k.spawn("second", second_body(k, sem, log));
+  k.spawn("killer", killer_body(k, sem, first, second, log));
+  k.run();
+  EXPECT_EQ(log.size(), 3u);
+  EXPECT_EQ(k.live_process_count(), 0u);
 }
 
 TEST(KernelTest, ScheduledCallbackRunsAtRequestedTime) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "sim/kernel.hpp"
 
@@ -99,26 +100,54 @@ TEST(TaskTest, DestroyingUnstartedTaskIsSafe) {
 
 TEST(TaskTest, CancellationUnwindsNestedFrames) {
   Kernel k;
-  int destroyed = 0;
-  struct Guard {
-    int& n;
-    ~Guard() { ++n; }
+  // What each local saw as it was destroyed.
+  struct Death {
+    std::string name;
+    bool victim_current = false;
+    bool victim_alive = false;
   };
-  auto inner = [](Kernel& k, int& destroyed) -> Task<void> {
-    Guard g{destroyed};
+  std::vector<Death> deaths;
+  struct Guard {
+    Kernel& k;
+    std::vector<Death>& deaths;
+    std::string name;
+    ProcessId owner = k.current()->id();
+    ~Guard() {
+      deaths.push_back(Death{name,
+                             k.current() != nullptr &&
+                                 k.current()->id() == owner,
+                             k.alive(owner)});
+    }
+  };
+  auto inner = [](Kernel& k, std::vector<Death>& deaths) -> Task<void> {
+    Guard first{k, deaths, "inner-first"};
+    Guard second{k, deaths, "inner-second"};
     co_await k.delay(Duration::units(100));
   };
-  ProcessId victim =
-      k.spawn("victim", [](Kernel& k, int& destroyed, auto inner) -> Task<void> {
-        Guard g{destroyed};
-        co_await inner(k, destroyed);
-      }(k, destroyed, inner));
-  k.spawn("killer", [](Kernel& k, ProcessId victim) -> Task<void> {
+  ProcessId victim = k.spawn(
+      "victim",
+      [](Kernel& k, std::vector<Death>& deaths, auto inner) -> Task<void> {
+        Guard g{k, deaths, "outer"};
+        co_await inner(k, deaths);
+      }(k, deaths, inner));
+  k.spawn("killer", [](Kernel& k, ProcessId victim,
+                       std::vector<Death>& deaths) -> Task<void> {
     co_await k.delay(Duration::units(1));
     k.kill(victim);
-  }(k, victim));
+    EXPECT_EQ(deaths.size(), 3u);  // every frame is gone when kill returns
+    EXPECT_FALSE(k.alive(victim));
+  }(k, victim, deaths));
   k.run();
-  EXPECT_EQ(destroyed, 2);  // both frames' locals destroyed on unwind
+  // Innermost first: the awaited frame's locals in reverse order, then the
+  // awaiting frame's; the victim is current and alive throughout.
+  ASSERT_EQ(deaths.size(), 3u);
+  EXPECT_EQ(deaths[0].name, "inner-second");
+  EXPECT_EQ(deaths[1].name, "inner-first");
+  EXPECT_EQ(deaths[2].name, "outer");
+  for (const Death& death : deaths) {
+    EXPECT_TRUE(death.victim_current) << death.name;
+    EXPECT_TRUE(death.victim_alive) << death.name;
+  }
 }
 
 }  // namespace
