@@ -17,16 +17,12 @@ namespace rtdb::cc {
 
 // Callbacks a controller uses to act on the rest of the system.
 struct ControllerHooks {
-  // Abort a transaction (deadlock victim, wound). Normally the callee
-  // synchronously terminates the victim's attempt — releasing its locks —
-  // arranges its restart and returns false. It is also called for the
-  // running attempt itself when the victim was picked among the waiters
-  // during its own acquire (PCP's dynamic-deadlock backstop, also at the
-  // global manager's mirrors): then it only returns true, and that acquire
-  // must return the abort. Protocols that pick the requester directly
-  // (2PL's requester-victim, wait-die, TSO) return the reason from
-  // acquire() without calling the hook.
-  std::function<bool(db::TxnId victim, AbortReason reason)> abort_txn;
+  // Abort a transaction (deadlock victim, wound). The callee synchronously
+  // terminates the victim's attempt — releasing its locks — and arranges
+  // its restart. Never called for the running transaction: a protocol
+  // whose victim is the requester itself (2PL's requester-victim, PCP's
+  // backstop, wait-die, TSO) returns the reason from acquire() instead.
+  std::function<void(db::TxnId victim, AbortReason reason)> abort_txn;
   // The transaction's effective (inherited) priority changed; the callee
   // propagates it to the CPU scheduler.
   std::function<void(const CcTxn& txn)> priority_changed;

@@ -39,7 +39,7 @@ void PriorityCeiling::do_begin(CcTxn& txn) {
   // New declarations only *raise* ceilings, so nothing becomes grantable —
   // but a raise can redirect which lock blocks an existing waiter, which
   // is exactly the (dynamic-arrival) way a blocking cycle can close.
-  if (options_.deadlock_backstop) stabilize();
+  if (options_.deadlock_backstop) stabilize(nullptr);
 }
 
 void PriorityCeiling::do_end(CcTxn& txn) {
@@ -48,7 +48,7 @@ void PriorityCeiling::do_end(CcTxn& txn) {
   set_inherited(txn, Priority::lowest());
   remove_declarations(txn);
   // Lowered ceilings may unblock waiters.
-  stabilize();
+  stabilize(nullptr);
 }
 
 sim::Task<std::optional<AbortReason>> PriorityCeiling::acquire(
@@ -110,12 +110,12 @@ sim::Task<std::optional<AbortReason>> PriorityCeiling::acquire(
         assert(it != self->waiters_.end());
         self->waiters_.erase(it);
         self->end_block(*waiter->txn);
-        self->stabilize();
+        self->stabilize(nullptr);
       }
     }
   } cleanup{this, &waiter};
 
-  if (stabilize()) {
+  if (stabilize(&txn)) {
     // This request closed a dynamic-arrival cycle and is its victim.
     co_return AbortReason::kDeadlockVictim;
   }
@@ -145,7 +145,7 @@ void PriorityCeiling::do_release_all(CcTxn& txn) {
       ++i;
     }
   }
-  stabilize();
+  stabilize(nullptr);
 }
 
 std::string_view PriorityCeiling::name() const {
@@ -170,7 +170,7 @@ void PriorityCeiling::adopt(CcTxn& txn, db::ObjectId object, LockMode mode) {
   // it directly and settle inheritance/ceilings around the restored state.
   grant(txn, object, effective_mode(mode));
   notify_adopt(txn, object, effective_mode(mode));
-  stabilize();
+  stabilize(nullptr);
 }
 
 bool PriorityCeiling::quiescent(std::string* why) const {
@@ -356,7 +356,7 @@ void PriorityCeiling::refresh_rw_ceiling(db::ObjectId object,
                                            : write_ceiling(object);
 }
 
-bool PriorityCeiling::stabilize() {
+bool PriorityCeiling::stabilize(const CcTxn* requester) {
   // Alternate inheritance and granting until neither changes anything:
   // a grant changes the lock set (new ceilings to respect), inheritance
   // changes effective priorities (new grants may pass the ceiling test).
@@ -377,7 +377,7 @@ bool PriorityCeiling::stabilize() {
       update_inheritance();
     } while (grant_pass());
     if (options_.deadlock_backstop) {
-      switch (resolve_dynamic_deadlock()) {
+      switch (resolve_dynamic_deadlock(requester)) {
         case Backstop::kQuiet:
           break;
         case Backstop::kAborted:
@@ -391,7 +391,8 @@ bool PriorityCeiling::stabilize() {
   return false;
 }
 
-PriorityCeiling::Backstop PriorityCeiling::resolve_dynamic_deadlock() {
+PriorityCeiling::Backstop PriorityCeiling::resolve_dynamic_deadlock(
+    const CcTxn* requester) {
   if (waiters_.empty()) return Backstop::kQuiet;
   // Blocked-by graph: each waiter points at the holders of its current
   // strongest blocking lock. Every node on a cycle is a waiter (only
@@ -464,10 +465,12 @@ PriorityCeiling::Backstop PriorityCeiling::resolve_dynamic_deadlock() {
         ++dynamic_deadlocks_;
         count_protocol_abort();
         notify_abort(victim->id, AbortReason::kDeadlockVictim);
+        // The requester's own acquire returns the abort; its guard
+        // withdraws the wait.
+        if (victim == requester) return Backstop::kAbortedRunning;
         assert(hooks_.abort_txn != nullptr);
-        return hooks_.abort_txn(victim->id, AbortReason::kDeadlockVictim)
-                   ? Backstop::kAbortedRunning
-                   : Backstop::kAborted;
+        hooks_.abort_txn(victim->id, AbortReason::kDeadlockVictim);
+        return Backstop::kAborted;
       }
       if (colour_of(next) == 0) {
         set_colour(next, 1);

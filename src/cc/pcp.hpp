@@ -154,16 +154,18 @@ class PriorityCeiling : public ConcurrencyController {
   // Priority inheritance to a fixpoint, then grants every waiter the new
   // state allows, repeating until stable; finally runs the deadlock
   // backstop. Re-entrant (a backstop abort re-triggers it) via a dirty flag.
-  // Returns true, stopping at once, when the backstop's victim is the
-  // running requester itself; only that requester's own acquire() can see
-  // this, and it then returns the abort.
-  bool stabilize();
+  // `requester` is the transaction whose acquire() is running (nullptr
+  // from every other call site). Returns true, stopping at once, when the
+  // backstop's victim is that requester; its acquire() then returns the
+  // abort.
+  bool stabilize(const CcTxn* requester);
   void update_inheritance();
   bool grant_pass();
   // Detects a ceiling-blocking cycle among the waiters and aborts its
-  // lowest-priority member through the abort hook.
+  // lowest-priority member: through the abort hook, or — when it is
+  // `requester` — by reporting kAbortedRunning without calling the hook.
   enum class Backstop : std::uint8_t { kQuiet, kAborted, kAbortedRunning };
-  Backstop resolve_dynamic_deadlock();
+  Backstop resolve_dynamic_deadlock(const CcTxn* requester);
 
   Options options_;
   std::uint32_t object_count_;

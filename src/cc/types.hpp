@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 
 #include "db/types.hpp"
 
@@ -30,22 +28,5 @@ enum class AbortReason : std::uint8_t {
 };
 
 const char* to_string(AbortReason reason);
-
-// The thread backend's self-abort (src/rt): thrown inside a worker's own
-// acquire when the protocol decides its transaction must abort; the runner
-// catches it, releases everything, and restarts the attempt. Simulated
-// protocols return the AbortReason from acquire() instead.
-class TxnAborted : public std::runtime_error {
- public:
-  explicit TxnAborted(AbortReason reason)
-      : std::runtime_error(std::string{"transaction aborted: "} +
-                           to_string(reason)),
-        reason_(reason) {}
-
-  AbortReason reason() const { return reason_; }
-
- private:
-  AbortReason reason_;
-};
 
 }  // namespace rtdb::cc

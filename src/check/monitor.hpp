@@ -95,6 +95,7 @@ class ConformanceMonitor {
   double observed_max_blocking_units() const {
     return max_blocking_.as_units();
   }
+  sim::Duration observed_max_blocking() const { return max_blocking_; }
 
   const std::vector<Violation>& reports() const { return reports_; }
   // Every retained report with its trace window, ready for stderr.

@@ -4,9 +4,7 @@
 #include <cassert>
 
 #include "analysis/bounds.hpp"
-#include "cc/hp2pl.hpp"
-#include "cc/tso.hpp"
-#include "cc/wait_die.hpp"
+#include "core/protocol.hpp"
 
 namespace rtdb::core {
 
@@ -143,44 +141,11 @@ System::Site System::make_site_base(net::SiteId id, db::Placement placement) {
   return site;
 }
 
-std::unique_ptr<cc::ConcurrencyController> System::make_controller() {
-  switch (config_.protocol) {
-    case Protocol::kTwoPhase:
-      return std::make_unique<cc::TwoPhaseLocking>(
-          kernel_,
-          cc::TwoPhaseLocking::Options{cc::LockTable::QueuePolicy::kFifo,
-                                       false, config_.victim_policy});
-    case Protocol::kTwoPhasePriority:
-      return std::make_unique<cc::TwoPhaseLocking>(
-          kernel_,
-          cc::TwoPhaseLocking::Options{cc::LockTable::QueuePolicy::kPriority,
-                                       false, config_.victim_policy});
-    case Protocol::kPriorityCeiling:
-      return std::make_unique<cc::PriorityCeiling>(
-          kernel_, config_.db_objects,
-          cc::PriorityCeiling::Options{false, config_.pcp_deadlock_backstop});
-    case Protocol::kPriorityCeilingExclusive:
-      return std::make_unique<cc::PriorityCeiling>(
-          kernel_, config_.db_objects,
-          cc::PriorityCeiling::Options{true, config_.pcp_deadlock_backstop});
-    case Protocol::kPriorityInheritance:
-      return std::make_unique<cc::PriorityInheritance2PL>(
-          kernel_, config_.victim_policy);
-    case Protocol::kHighPriority:
-      return std::make_unique<cc::HighPriority2PL>(kernel_);
-    case Protocol::kTimestampOrdering:
-      return std::make_unique<cc::TimestampOrdering>(kernel_);
-    case Protocol::kWaitDie:
-      return std::make_unique<cc::WaitDie2PL>(kernel_);
-    case Protocol::kWoundWait:
-      return std::make_unique<cc::WoundWait2PL>(kernel_);
-  }
-  return nullptr;
-}
-
 void System::build_single_site() {
   Site site = make_site_base(0, db::Placement::kSingleSite);
-  site.cc = make_controller();
+  site.cc = make_controller(kernel_, config_.protocol, config_.db_objects,
+                            config_.victim_policy,
+                            config_.pcp_deadlock_backstop);
   site.executor = std::make_unique<txn::LocalExecutor>(
       txn::LocalExecutor::Services{
           &kernel_, site.cpu.get(), site.rm.get(), site.cc.get(),
@@ -482,42 +447,17 @@ void System::attach_conformance() {
         bounds.bounded ? std::optional<sim::Duration>(bounds.worst_bound)
                        : std::nullopt);
   }
-  // The rule family of the per-site controllers. Under the global scheme
-  // the site controller is the remote ceiling client (structural checks
-  // only — the blockers are at the manager); the manager's own protocol
-  // instance gets the full ceiling audit below.
-  const auto family = [&]() -> check::ProtocolFamily {
-    if (config_.scheme == DistScheme::kGlobalCeiling ||
-        config_.scheme == DistScheme::kPartitionedCeiling) {
-      return check::ProtocolFamily::kRemoteClient;
-    }
-    switch (config_.protocol) {
-      case Protocol::kTwoPhase:
-      case Protocol::kTwoPhasePriority:
-      case Protocol::kPriorityInheritance:
-        return check::ProtocolFamily::kTwoPhase;
-      case Protocol::kPriorityCeiling:
-      case Protocol::kPriorityCeilingExclusive:
-        return check::ProtocolFamily::kCeiling;
-      case Protocol::kHighPriority:
-        return check::ProtocolFamily::kHighPriority;
-      case Protocol::kWaitDie:
-        return check::ProtocolFamily::kWaitDie;
-      case Protocol::kWoundWait:
-        return check::ProtocolFamily::kWoundWait;
-      case Protocol::kTimestampOrdering:
-        break;  // handled via attach_timestamp below
-    }
-    return check::ProtocolFamily::kTwoPhase;
-  }();
-  const bool timestamp = family == check::ProtocolFamily::kRemoteClient
-                             ? false
-                             : config_.protocol == Protocol::kTimestampOrdering;
+  // The per-site controllers audit by protocol. Under the global and
+  // partitioned schemes the site controller is the remote ceiling client
+  // (structural checks only — the blockers are at the manager); the
+  // manager's own protocol instance gets the full ceiling audit below.
+  const bool remote_client = config_.scheme == DistScheme::kGlobalCeiling ||
+                             config_.scheme == DistScheme::kPartitionedCeiling;
   for (Site& site : sites_) {
-    if (timestamp) {
-      conformance_->attach_timestamp(*site.cc);
+    if (remote_client) {
+      conformance_->attach(*site.cc, check::ProtocolFamily::kRemoteClient);
     } else {
-      conformance_->attach(*site.cc, family);
+      attach_audit(*conformance_, *site.cc, config_.protocol);
     }
     // Every (standby) manager audits as a full ceiling protocol — adoption
     // after failover included.

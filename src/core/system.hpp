@@ -184,7 +184,6 @@ class System {
   void attach_conformance();
   void schedule_faults();
   Site make_site_base(net::SiteId id, db::Placement placement);
-  std::unique_ptr<cc::ConcurrencyController> make_controller();
   bool use_priority_scheduling() const {
     return config_.protocol != Protocol::kTwoPhase;
   }

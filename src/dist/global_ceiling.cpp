@@ -47,7 +47,7 @@ GlobalCeilingManager::GlobalCeilingManager(Routed, net::MessageServer& server,
 void GlobalCeilingManager::install_hooks() {
   pcp_.set_hooks(cc::ControllerHooks{
       [this](db::TxnId victim, cc::AbortReason reason) {
-        return abort_mirror(victim, reason);
+        abort_mirror(victim, reason);
       },
       // Inherited priorities are not propagated to remote CPUs (the
       // grant/wake ordering at the manager still honours them).
@@ -334,25 +334,16 @@ sim::Task<void> GlobalCeilingManager::serve_acquire(
   reply.send();
 }
 
-bool GlobalCeilingManager::abort_mirror(db::TxnId victim,
+void GlobalCeilingManager::abort_mirror(db::TxnId victim,
                                         cc::AbortReason /*reason*/) {
   auto it = mirrors_.find(victim.value);
   assert(it != mirrors_.end());
   Mirror& mirror = *it->second;
   assert(!mirror.aborted);
-  const sim::Process* current = server_.kernel().current();
-  if (current != nullptr &&
-      std::find(mirror.pending.begin(), mirror.pending.end(), current->id()) !=
-          mirror.pending.end()) {
-    // The victim's own waiting grant is the running process: its acquire
-    // returns the abort, and serve_acquire completes it.
-    return true;
-  }
   auto pending = mirror.pending;
   mirror.pending.clear();
   for (const sim::ProcessId pid : pending) server_.kernel().kill(pid);
   finish_abort(mirror);
-  return false;
 }
 
 void GlobalCeilingManager::finish_abort(Mirror& mirror) {

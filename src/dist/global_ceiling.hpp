@@ -220,9 +220,9 @@ class GlobalCeilingManager {
   void reap_orphan(std::uint64_t txn, std::uint32_t attempt);
   void remove_mirror(std::unordered_map<
                      std::uint64_t, std::unique_ptr<Mirror>>::iterator it);
-  // PCP backstop hook (dynamic-arrival deadlock at the manager). Returns
-  // true when the victim's own waiting grant is the running process.
-  bool abort_mirror(db::TxnId victim, cc::AbortReason reason);
+  // PCP backstop hook (dynamic-arrival deadlock at the manager): aborts
+  // another mirror than the requesting one.
+  void abort_mirror(db::TxnId victim, cc::AbortReason reason);
   void finish_abort(Mirror& mirror);
 
   net::MessageServer& server_;

@@ -1,966 +1,204 @@
 #include "rt/lock_table.hpp"
 
-#include <algorithm>
 #include <cassert>
+#include <utility>
+
+#include "cc/hp2pl.hpp"
+#include "cc/pcp.hpp"
+#include "cc/wait_die.hpp"
+#include "core/protocol.hpp"
 
 namespace rtdb::rt {
 
-using cc::AbortReason;
-using cc::LockMode;
-using cc::TxnAborted;
-using core::Protocol;
-using sim::Priority;
-
-bool RtLockTable::CeilingLock::held_by_other(const RtTxn& txn) const {
-  if (writer != nullptr && writer != &txn) return true;
-  return std::any_of(readers.begin(), readers.end(),
-                     [&](const RtTxn* r) { return r != &txn; });
-}
-
-RtLockTable::RtLockTable(Options options, ExecutionBackend& backend)
-    : options_(options), backend_(backend) {
-  if (family() == Family::kCeiling) {
-    write_ceiling_.assign(options_.object_count, Priority::lowest());
-    abs_ceiling_.assign(options_.object_count, Priority::lowest());
+RtLockTable::RtLockTable(Options options, ThreadBackend& backend)
+    : backend_(backend),
+      cc_(core::make_controller(kernel_, options.protocol,
+                                options.object_count, options.victim_policy,
+                                options.pcp_deadlock_backstop)) {
+  cc_->set_hooks(cc::ControllerHooks{
+      [this](db::TxnId victim, cc::AbortReason reason) {
+        abort_attempt(victim, reason);
+      },
+      // No CPU scheduler to tell: a thread runs at its own OS priority.
+      {}});
+  if (options.audit) {
+    monitor_ = std::make_unique<check::ConformanceMonitor>(kernel_);
+    core::attach_audit(*monitor_, *cc_, options.protocol);
+    if (!options.bound_gate.is_zero()) monitor_->arm_bounds(options.bound_gate);
   }
 }
 
-RtLockTable::Family RtLockTable::family() const {
-  switch (options_.protocol) {
-    case Protocol::kPriorityCeiling:
-    case Protocol::kPriorityCeilingExclusive:
-      return Family::kCeiling;
-    case Protocol::kTimestampOrdering:
-      return Family::kTimestamp;
-    default:
-      return Family::kLocking;
-  }
+void RtLockTable::enter(PqSpinLock::Node& node, sim::Priority priority) {
+  latch_.lock(node, priority);
+  kernel_.run_until(backend_.now());
 }
 
-bool RtLockTable::priority_queues() const {
-  return options_.protocol == Protocol::kTwoPhasePriority ||
-         options_.protocol == Protocol::kPriorityInheritance ||
-         options_.protocol == Protocol::kHighPriority;
-}
-
-bool RtLockTable::uses_inheritance() const {
-  return options_.protocol == Protocol::kPriorityInheritance;
-}
-
-bool RtLockTable::uses_wfg() const {
-  return options_.protocol == Protocol::kTwoPhase ||
-         options_.protocol == Protocol::kTwoPhasePriority ||
-         options_.protocol == Protocol::kPriorityInheritance;
-}
-
-void RtLockTable::unlock_latch() {
+void RtLockTable::leave() {
+  kernel_.run();
   std::vector<WaitToken*> wakes;
   wakes.swap(pending_wakes_);
   latch_.unlock();
-  // Tokens are signaled outside the spinlock so a woken thread never spins
-  // on a latch its waker still holds.
   for (WaitToken* token : wakes) backend_.wake(*token);
 }
 
-void RtLockTable::throw_if_wounded(RtTxn& txn) {
-  if (!txn.wounded.load(std::memory_order_relaxed)) return;
-  const AbortReason reason = txn.wound_reason;
-  unlock_latch();
-  throw TxnAborted{reason};
-}
-
-void RtLockTable::begin_block(RtTxn& txn) {
-  txn.blocked = true;
-  txn.blocked_since = backend_.now();
-  ++txn.block_count;
-}
-
-void RtLockTable::end_block(RtTxn& txn) {
-  const sim::Duration span = backend_.now() - txn.blocked_since;
-  txn.blocked_total += span;
-  txn.blocked = false;
-  if (span > stats_.max_block_span) stats_.max_block_span = span;
-  if (!options_.bound_gate.is_zero() && span > options_.bound_gate) {
-    ++stats_.bound_violations;
+sim::Task<void> RtLockTable::serve(RtTxn& txn) {
+  sim::Semaphore inbox{kernel_, 0};
+  txn.inbox = &inbox;
+  struct Detach {
+    RtTxn& txn;
+    ~Detach() { txn.inbox = nullptr; }  // killed or not, the inbox is gone
+  } detach{txn};
+  for (;;) {
+    co_await inbox.acquire();
+    txn.result = co_await cc_->acquire(txn, txn.object, txn.mode);
+    txn.done = true;
+    if (txn.parked) pending_wakes_.push_back(&txn.token);
   }
 }
 
-bool RtLockTable::wound(RtTxn& victim, AbortReason reason) {
-  if (victim.wounded.load(std::memory_order_relaxed)) return false;
-  victim.wound_reason = reason;
-  victim.wounded.store(true, std::memory_order_release);
-  if (victim.blocked) queue_wake(victim);
-  return true;
+void RtLockTable::abort_attempt(db::TxnId victim, cc::AbortReason reason) {
+  const auto it = active_.find(victim);
+  assert(it != active_.end() && "abort hook for an attempt not begun");
+  RtTxn& txn = *it->second;
+  active_.erase(it);
+  kernel_.kill(txn.process);
+  cc_->release_all(txn);
+  cc_->on_end(txn);
+  txn.abort_reason = reason;
+  txn.aborted.store(true, std::memory_order_release);
+  if (txn.parked) pending_wakes_.push_back(&txn.token);
 }
-
-void RtLockTable::audit_fail(const char* what) {
-  ++stats_.audit_violations;
-  if (first_audit_failure_.empty()) first_audit_failure_ = what;
-}
-
-// ---------------------------------------------------------------------------
-// Public entry points
-// ---------------------------------------------------------------------------
 
 void RtLockTable::on_begin(RtTxn& txn) {
   PqSpinLock::Node node;
-  lock_latch(node, txn.base_priority);
-  if (options_.audit && active_.contains(txn.id)) {
-    audit_fail("on_begin for an already active transaction");
-  }
-  active_.emplace(txn.id, &txn);
-  switch (family()) {
-    case Family::kCeiling:
-      refresh_static_ceilings(txn);
-      // A new declaration only raises ceilings, but a raise can redirect
-      // which lock blocks an existing waiter — the dynamic-arrival way a
-      // blocking cycle can close (see cc/pcp.cpp).
-      if (options_.pcp_deadlock_backstop) stabilize();
-      break;
-    case Family::kTimestamp: {
-      // Fresh timestamp per attempt; a retained timestamp would livelock a
-      // rejected reader.
-      auto [it, inserted] = timestamps_.try_emplace(txn.id, next_ts_);
-      (void)it;
-      if (inserted) ++next_ts_;
-      break;
-    }
-    case Family::kLocking:
-      break;
-  }
-  unlock_latch();
+  enter(node, txn.base_priority);
+  // A fresh controller view per attempt; identity, priority, deadline and
+  // the declared set carry over.
+  cc::CcTxn fresh;
+  fresh.id = txn.id;
+  fresh.attempt = txn.attempt + 1;
+  fresh.base_priority = txn.base_priority;
+  fresh.deadline = txn.deadline;
+  fresh.access = std::move(txn.access);
+  static_cast<cc::CcTxn&>(txn) = std::move(fresh);
+  txn.aborted.store(false, std::memory_order_relaxed);
+  txn.parked = false;
+  [[maybe_unused]] const bool fresh_id = active_.emplace(txn.id, &txn).second;
+  assert(fresh_id && "on_begin for an attempt already begun");
+  cc_->on_begin(txn);
+  txn.process = kernel_.spawn("attempt", serve(txn));
+  leave();
 }
 
-void RtLockTable::acquire(RtTxn& txn, db::ObjectId object, LockMode mode) {
-  switch (family()) {
-    case Family::kLocking:
-      acquire_locking(txn, object, mode);
-      return;
-    case Family::kCeiling:
-      acquire_ceiling(txn, object, mode);
-      return;
-    case Family::kTimestamp:
-      acquire_timestamp(txn, object, mode);
-      return;
-  }
-}
-
-void RtLockTable::release_all(RtTxn& txn) {
+std::optional<cc::AbortReason> RtLockTable::acquire(RtTxn& txn,
+                                                    db::ObjectId object,
+                                                    cc::LockMode mode) {
   PqSpinLock::Node node;
-  lock_latch(node, txn.base_priority);
-  txn.released = true;
-  switch (family()) {
-    case Family::kLocking: {
-      std::vector<db::ObjectId> touched;
-      for (auto& [object, lock] : locks_) {
-        auto it = std::find_if(lock.holders.begin(), lock.holders.end(),
-                               [&](const auto& h) { return h.first == &txn; });
-        if (it != lock.holders.end()) {
-          lock.holders.erase(it);
-          touched.push_back(object);
-        }
-      }
-      for (db::ObjectId object : touched) {
-        auto it = locks_.find(object);
-        assert(it != locks_.end());
-        promote(object, it->second);
-        erase_if_idle(object);
-      }
-      if (uses_wfg()) {
-        for (db::ObjectId object : touched) refresh_edges(object);
-      }
-      if (uses_inheritance()) update_inheritance();
-      break;
-    }
-    case Family::kCeiling: {
-      for (auto it = ceiling_locks_.begin(); it != ceiling_locks_.end();) {
-        CeilingLock& lock = it->second;
-        if (lock.writer == &txn) lock.writer = nullptr;
-        std::erase(lock.readers, &txn);
-        if (lock.empty()) {
-          it = ceiling_locks_.erase(it);
-        } else {
-          refresh_rw_ceiling(it->first, lock);
-          ++it;
-        }
-      }
-      stabilize();
-      break;
-    }
-    case Family::kTimestamp:
-      break;  // timestamp ordering holds no locks
+  enter(node, txn.base_priority);
+  if (!txn.aborted.load(std::memory_order_relaxed)) {
+    assert(txn.inbox != nullptr && "acquire after the attempt's process ended");
+    txn.object = object;
+    txn.mode = mode;
+    txn.done = false;
+    txn.inbox->release();
+    kernel_.run();
   }
-  unlock_latch();
+  while (!txn.done && !txn.aborted.load(std::memory_order_relaxed)) {
+    // Suspended in the controller: park until a grant or an abort wakes
+    // us. A wake meant for an earlier park can still arrive, so the
+    // outcome is re-checked under the latch after every return.
+    txn.parked = true;
+    txn.token.reset();
+    leave();
+    const bool woken = backend_.block(txn.token, txn.deadline);
+    enter(node, txn.base_priority);
+    txn.parked = false;
+    if (!woken && !txn.done && !txn.aborted.load(std::memory_order_relaxed)) {
+      // The deadline passed while queued: the kill destroys the pending
+      // acquire, whose guards withdraw the wait.
+      kernel_.kill(txn.process);
+      leave();
+      return cc::AbortReason::kDeadlineMiss;
+    }
+  }
+  const std::optional<cc::AbortReason> outcome =
+      txn.aborted.load(std::memory_order_relaxed)
+          ? std::optional<cc::AbortReason>(txn.abort_reason)
+          : txn.result;
+  leave();
+  return outcome;
+}
+
+std::optional<cc::AbortReason> RtLockTable::release_all(RtTxn& txn) {
+  PqSpinLock::Node node;
+  enter(node, txn.base_priority);
+  std::optional<cc::AbortReason> ended;
+  if (txn.aborted.load(std::memory_order_relaxed)) {
+    ended = txn.abort_reason;
+  } else {
+    cc_->release_all(txn);
+  }
+  leave();
+  return ended;
 }
 
 void RtLockTable::on_end(RtTxn& txn) {
   PqSpinLock::Node node;
-  lock_latch(node, txn.base_priority);
-  if (options_.audit && waiting_requests_.contains(txn.id)) {
-    audit_fail("on_end while still waiting");
+  enter(node, txn.base_priority);
+  if (!txn.aborted.load(std::memory_order_relaxed)) {
+    active_.erase(txn.id);
+    cc_->on_end(txn);
+    kernel_.kill(txn.process);  // a no-op after a deadline kill
   }
-  active_.erase(txn.id);
-  txn.inherited = Priority::lowest();
-  switch (family()) {
-    case Family::kLocking:
-      wfg_.remove(txn.id);
-      if (uses_inheritance()) update_inheritance();
-      break;
-    case Family::kCeiling:
-      refresh_static_ceilings(txn);
-      stabilize();  // lowered ceilings may unblock waiters
-      break;
-    case Family::kTimestamp:
-      timestamps_.erase(txn.id);
-      break;
-  }
-  unlock_latch();
-}
-
-std::string RtLockTable::first_audit_failure() const {
-  PqSpinLock::Node node;
-  latch_.lock(node, Priority::highest());
-  std::string copy = first_audit_failure_;
-  latch_.unlock();
-  return copy;
+  leave();
 }
 
 RtLockStats RtLockTable::stats() const {
-  PqSpinLock::Node node;
-  latch_.lock(node, Priority::highest());
-  RtLockStats copy = stats_;
-  latch_.unlock();
-  return copy;
+  PqSpinLock::Guard guard{latch_, sim::Priority::highest()};
+  RtLockStats s;
+  s.grants = cc_->grants();
+  s.blocks = cc_->blocks();
+  s.protocol_aborts = cc_->protocol_aborts();
+  if (const auto* c = dynamic_cast<const cc::TwoPhaseLocking*>(cc_.get())) {
+    s.deadlocks = c->deadlocks();
+  }
+  if (const auto* c = dynamic_cast<const cc::PriorityCeiling*>(cc_.get())) {
+    s.pcp_dynamic_deadlocks = c->dynamic_deadlocks();
+    s.ceiling_denials = c->ceiling_denials();
+  }
+  if (const auto* c = dynamic_cast<const cc::HighPriority2PL*>(cc_.get())) {
+    s.wounds = c->wounds();
+  }
+  if (const auto* c = dynamic_cast<const cc::AgeBased2PL*>(cc_.get())) {
+    s.wounds = c->wounds();
+  }
+  if (monitor_ != nullptr) {
+    s.audit_violations = monitor_->violations();
+    s.max_block_span = monitor_->observed_max_blocking();
+    s.bound_violations = monitor_->bound_violations();
+  }
+  return s;
 }
 
 bool RtLockTable::quiescent(std::string* why) const {
-  auto fail = [&](const std::string& reason) {
-    if (why != nullptr) *why = "rt: " + reason;
+  PqSpinLock::Guard guard{latch_, sim::Priority::highest()};
+  if (!cc_->quiescent(why)) return false;
+  if (!active_.empty() || kernel_.live_process_count() != 0) {
+    if (why != nullptr) {
+      *why = "rt: " + std::to_string(active_.size()) + " attempts and " +
+             std::to_string(kernel_.live_process_count()) +
+             " processes still live";
+    }
     return false;
-  };
-  PqSpinLock::Node node;
-  latch_.lock(node, Priority::highest());
-  struct Unlock {
-    PqSpinLock& latch;
-    ~Unlock() { latch.unlock(); }
-  } unlock{latch_};
-  if (!active_.empty()) {
-    return fail(std::to_string(active_.size()) + " transactions still active");
-  }
-  if (!locks_.empty()) {
-    return fail(std::to_string(locks_.size()) + " objects still locked");
-  }
-  if (waiting_ != 0) {
-    return fail(std::to_string(waiting_) + " requests still waiting");
-  }
-  if (!ceiling_locks_.empty()) {
-    return fail("ceiling lock table not empty");
-  }
-  if (!ceiling_waiters_.empty()) {
-    return fail(std::to_string(ceiling_waiters_.size()) +
-                " ceiling waiters still queued");
-  }
-  for (std::size_t o = 0; o < write_ceiling_.size(); ++o) {
-    if (write_ceiling_[o] != Priority::lowest() ||
-        abs_ceiling_[o] != Priority::lowest()) {
-      return fail("stale ceiling on object " + std::to_string(o));
-    }
-  }
-  if (!timestamps_.empty()) {
-    return fail(std::to_string(timestamps_.size()) +
-                " live timestamps after drain");
-  }
-  if (stats_.audit_violations != 0) {
-    return fail("audit: " + first_audit_failure_);
   }
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// 2PL family (mirrors cc/lock_table.cpp + cc/two_phase.cpp + cc/wait_die.cpp
-// + cc/hp2pl.cpp)
-// ---------------------------------------------------------------------------
-
-bool RtLockTable::compatible_with_holders(const ObjectLock& lock,
-                                          LockMode mode) const {
-  return std::all_of(
-      lock.holders.begin(), lock.holders.end(),
-      [&](const auto& h) { return cc::compatible(h.second, mode); });
-}
-
-bool RtLockTable::precedes(const Request& a, const Request& b) const {
-  if (priority_queues()) {
-    const Priority pa = a.txn->effective_priority();
-    const Priority pb = b.txn->effective_priority();
-    if (pa != pb) return pa.higher_than(pb);
-  }
-  return a.seq < b.seq;
-}
-
-bool RtLockTable::try_grant(RtTxn& txn, db::ObjectId object, LockMode mode) {
-  ObjectLock& lock = locks_[object];
-  if (!compatible_with_holders(lock, mode)) return false;
-  if (!lock.queue.empty()) {
-    const Request probe{&txn, object, mode, false, next_seq_};
-    if (!precedes(probe, *lock.queue.front())) return false;
-  }
-  if (options_.audit &&
-      std::any_of(lock.holders.begin(), lock.holders.end(),
-                  [&](const auto& h) { return h.first == &txn; })) {
-    audit_fail("re-acquiring a held lock");
-  }
-  lock.holders.emplace_back(&txn, mode);
-  return true;
-}
-
-void RtLockTable::enqueue(Request& request) {
-  request.seq = next_seq_++;
-  request.granted = false;
-  ObjectLock& lock = locks_[request.object];
-  auto it = std::find_if(
-      lock.queue.begin(), lock.queue.end(),
-      [&](const Request* queued) { return precedes(request, *queued); });
-  lock.queue.insert(it, &request);
-  ++waiting_;
-  waiting_requests_.emplace(request.txn->id, &request);
-}
-
-void RtLockTable::cancel(Request& request) {
-  auto it = locks_.find(request.object);
-  assert(it != locks_.end());
-  ObjectLock& lock = it->second;
-  auto pos = std::find(lock.queue.begin(), lock.queue.end(), &request);
-  assert(pos != lock.queue.end());
-  lock.queue.erase(pos);
-  --waiting_;
-  waiting_requests_.erase(request.txn->id);
-  promote(request.object, lock);
-  erase_if_idle(request.object);
-}
-
-void RtLockTable::promote(db::ObjectId object, ObjectLock& lock) {
-  (void)object;
-  // Grant the longest grantable prefix, exactly as the simulated table:
-  // stops at the first waiter that conflicts with the extended holder set.
-  while (!lock.queue.empty()) {
-    Request* head = lock.queue.front();
-    if (!compatible_with_holders(lock, head->mode)) break;
-    lock.queue.erase(lock.queue.begin());
-    --waiting_;
-    waiting_requests_.erase(head->txn->id);
-    lock.holders.emplace_back(head->txn, head->mode);
-    head->granted = true;
-    ++stats_.grants;
-    if (uses_wfg()) wfg_.clear_waits_of(head->txn->id);
-    end_block(*head->txn);
-    queue_wake(*head->txn);
-  }
-}
-
-void RtLockTable::erase_if_idle(db::ObjectId object) {
-  auto it = locks_.find(object);
-  if (it != locks_.end() && it->second.holders.empty() &&
-      it->second.queue.empty()) {
-    locks_.erase(it);
-  }
-}
-
-std::vector<RtTxn*> RtLockTable::blockers_of(const Request& request) const {
-  std::vector<RtTxn*> result;
-  auto it = locks_.find(request.object);
-  if (it == locks_.end()) return result;
-  const ObjectLock& lock = it->second;
-  for (const auto& [txn, mode] : lock.holders) {
-    if (txn != request.txn && !cc::compatible(mode, request.mode)) {
-      result.push_back(txn);
-    }
-  }
-  for (const Request* queued : lock.queue) {
-    if (queued == &request) break;
-    if (queued->txn != request.txn &&
-        !cc::compatible(queued->mode, request.mode)) {
-      result.push_back(queued->txn);
-    }
-  }
-  return result;
-}
-
-std::vector<RtTxn*> RtLockTable::blockers_for_newcomer(
-    db::ObjectId object, LockMode mode, const RtTxn& txn) const {
-  // Equivalent to the simulated protocols' enqueue-probe-cancel dance.
-  std::vector<RtTxn*> result;
-  auto it = locks_.find(object);
-  if (it == locks_.end()) return result;
-  const ObjectLock& lock = it->second;
-  for (const auto& [holder, held_mode] : lock.holders) {
-    if (holder != &txn && !cc::compatible(held_mode, mode)) {
-      result.push_back(holder);
-    }
-  }
-  const Request probe{const_cast<RtTxn*>(&txn), object, mode, false,
-                      next_seq_};
-  for (const Request* queued : lock.queue) {
-    if (!precedes(*queued, probe)) continue;
-    if (queued->txn != &txn && !cc::compatible(queued->mode, mode)) {
-      result.push_back(queued->txn);
-    }
-  }
-  return result;
-}
-
-void RtLockTable::refresh_edges(db::ObjectId object) {
-  auto it = locks_.find(object);
-  if (it == locks_.end()) return;
-  for (Request* request : it->second.queue) {
-    wfg_.clear_waits_of(request->txn->id);
-    // A wounded waiter is on its way out; treating it as no longer waiting
-    // keeps resolved cycles from being re-detected (and re-billed) before
-    // its thread has had a chance to withdraw the request.
-    if (request->txn->wounded.load(std::memory_order_relaxed)) continue;
-    for (const RtTxn* blocker : blockers_of(*request)) {
-      wfg_.add_edge(request->txn->id, blocker->id);
-    }
-  }
-}
-
-db::TxnId RtLockTable::pick_victim(const std::vector<db::TxnId>& cycle,
-                                   db::TxnId requester) const {
-  assert(!cycle.empty());
-  switch (options_.victim_policy) {
-    case cc::TwoPhaseLocking::VictimPolicy::kRequester:
-      if (std::find(cycle.begin(), cycle.end(), requester) != cycle.end()) {
-        return requester;
-      }
-      [[fallthrough]];
-    case cc::TwoPhaseLocking::VictimPolicy::kLowestPriority: {
-      db::TxnId worst = cycle.front();
-      for (db::TxnId id : cycle) {
-        const RtTxn* a = active_.at(id);
-        const RtTxn* b = active_.at(worst);
-        if (b->effective_priority().higher_than(a->effective_priority())) {
-          worst = id;
-        }
-      }
-      return worst;
-    }
-    case cc::TwoPhaseLocking::VictimPolicy::kYoungest: {
-      db::TxnId youngest = cycle.front();
-      for (db::TxnId id : cycle) {
-        if (youngest < id) youngest = id;
-      }
-      return youngest;
-    }
-  }
-  return cycle.front();
-}
-
-void RtLockTable::resolve_deadlocks(RtTxn& txn, Request& request) {
-  for (;;) {
-    if (request.granted) return;
-    const auto cycle = wfg_.find_cycle_from(txn.id);
-    if (cycle.empty()) return;
-    ++stats_.deadlocks;
-    ++stats_.protocol_aborts;
-    const db::TxnId victim_id = pick_victim(cycle, txn.id);
-    if (victim_id == txn.id) {
-      // Requester is its own victim: withdraw and unwind. (The simulated
-      // controller does this in the awaiter's RAII guard; here the cleanup
-      // is explicit.)
-      cancel(request);
-      wfg_.clear_waits_of(txn.id);
-      end_block(txn);
-      refresh_edges(request.object);
-      if (uses_inheritance()) update_inheritance();
-      unlock_latch();
-      throw TxnAborted{AbortReason::kDeadlockVictim};
-    }
-    RtTxn& victim = *active_.at(victim_id);
-    wound(victim, AbortReason::kDeadlockVictim);
-    // The victim's thread withdraws its request when it wakes; drop its
-    // edges now so this cycle reads as resolved.
-    wfg_.clear_waits_of(victim_id);
-  }
-}
-
-void RtLockTable::update_inheritance() {
-  std::unordered_map<const RtTxn*, Priority> inherited;
-  inherited.reserve(active_.size());
-  for (const auto& [id, txn] : active_) {
-    (void)id;
-    inherited.emplace(txn, Priority::lowest());
-  }
-  auto effective = [&](const RtTxn* txn) {
-    return Priority::stronger(txn->base_priority, inherited.at(txn));
-  };
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& [id, request] : waiting_requests_) {
-      (void)id;
-      const Priority urgency = effective(request->txn);
-      for (RtTxn* blocker : blockers_of(*request)) {
-        auto it = inherited.find(blocker);
-        if (it == inherited.end()) continue;
-        if (urgency.higher_than(it->second)) {
-          it->second = urgency;
-          changed = true;
-        }
-      }
-    }
-  }
-  for (const auto& [txn, priority] : inherited) {
-    const_cast<RtTxn*>(txn)->inherited = priority;
-  }
-}
-
-void RtLockTable::acquire_locking(RtTxn& txn, db::ObjectId object,
-                                  LockMode mode) {
-  PqSpinLock::Node node;
-  lock_latch(node, txn.base_priority);
-  throw_if_wounded(txn);
-  if (options_.audit && txn.released) {
-    audit_fail("acquire after release (two-phase rule)");
-  }
-  if (try_grant(txn, object, mode)) {
-    ++stats_.grants;
-    unlock_latch();
-    return;
-  }
-
-  if (options_.protocol == Protocol::kWaitDie) {
-    const auto blockers = blockers_for_newcomer(object, mode, txn);
-    assert(!blockers.empty());
-    const bool all_blockers_younger =
-        std::all_of(blockers.begin(), blockers.end(),
-                    [&](const RtTxn* blocker) { return txn.id < blocker->id; });
-    if (!all_blockers_younger) {
-      // Younger than some holder: die (restart with the same age).
-      ++stats_.dies;
-      ++stats_.protocol_aborts;
-      unlock_latch();
-      throw TxnAborted{AbortReason::kAgeBased};
-    }
-  } else if (options_.protocol == Protocol::kWoundWait) {
-    // Wound every younger blocker; unlike the simulation (where an abort
-    // releases synchronously and the requester re-probes), the victims die
-    // asynchronously and their release promotes us from the queue.
-    for (RtTxn* blocker : blockers_for_newcomer(object, mode, txn)) {
-      if (txn.id < blocker->id && wound(*blocker, AbortReason::kWounded)) {
-        ++stats_.wounds;
-        ++stats_.protocol_aborts;
-      }
-    }
-  }
-
-  txn.token.reset();
-  Request request{&txn, object, mode, false, 0};
-  enqueue(request);
-  begin_block(txn);
-
-  if (options_.protocol == Protocol::kHighPriority) {
-    // Queue first (priority order), then wound every conflicting holder iff
-    // all of them are less urgent; their releases promote us directly.
-    const auto blockers = blockers_of(request);
-    const bool all_lower = std::all_of(
-        blockers.begin(), blockers.end(), [&](const RtTxn* blocker) {
-          return txn.effective_priority().higher_than(
-              blocker->effective_priority());
-        });
-    if (all_lower) {
-      for (RtTxn* victim : blockers) {
-        if (wound(*victim, AbortReason::kWounded)) {
-          ++stats_.wounds;
-          ++stats_.protocol_aborts;
-        }
-      }
-    }
-  }
-
-  if (uses_wfg()) {
-    refresh_edges(object);
-    resolve_deadlocks(txn, request);  // may unlock + throw
-  }
-  if (uses_inheritance()) update_inheritance();
-  unlock_latch();
-
-  bool woken = backend_.block(txn.token, txn.deadline);
-
-  PqSpinLock::Node node2;
-  lock_latch(node2, txn.base_priority);
-  // Wakes are delivered outside the latch (unlock_latch), so a preempted
-  // waker can land its signal after the wait it meant to end — even into
-  // this transaction's next attempt, whose token.reset() raced the
-  // delivery. A wake with no cause on the books (no grant, no wound) is
-  // such a stale signal: re-arm and keep waiting. A wake with a live
-  // cause never reaches the reset — grant and wound both post under the
-  // latch before their wake is queued, so the loop condition sees them.
-  while (woken && !request.granted &&
-         !txn.wounded.load(std::memory_order_relaxed) &&
-         backend_.now() < txn.deadline) {
-    txn.token.reset();
-    unlock_latch();
-    woken = backend_.block(txn.token, txn.deadline);
-    lock_latch(node2, txn.base_priority);
-  }
-  if (!request.granted) {
-    cancel(request);
-    end_block(txn);
-    if (uses_wfg()) {
-      wfg_.clear_waits_of(txn.id);
-      refresh_edges(object);
-    }
-    if (uses_inheritance()) update_inheritance();
-    const bool was_wounded = txn.wounded.load(std::memory_order_relaxed);
-    const AbortReason reason =
-        was_wounded ? txn.wound_reason : AbortReason::kDeadlineMiss;
-    assert(was_wounded || !woken || backend_.now() >= txn.deadline);
-    (void)woken;
-    unlock_latch();
-    throw TxnAborted{reason};
-  }
-  const bool aborted = txn.wounded.load(std::memory_order_relaxed);
-  const AbortReason reason = txn.wound_reason;
-  unlock_latch();
-  // Granted and wounded can race; the wound wins and release_all frees the
-  // just-granted lock.
-  if (aborted) throw TxnAborted{reason};
-}
-
-// ---------------------------------------------------------------------------
-// Ceiling family (mirrors cc/pcp.cpp)
-// ---------------------------------------------------------------------------
-
-LockMode RtLockTable::effective_mode(LockMode mode) const {
-  return options_.protocol == Protocol::kPriorityCeilingExclusive
-             ? LockMode::kWrite
-             : mode;
-}
-
-Priority RtLockTable::write_ceiling_of(db::ObjectId object) const {
-  return options_.protocol == Protocol::kPriorityCeilingExclusive
-             ? abs_ceiling_[object]
-             : write_ceiling_[object];
-}
-
-const RtLockTable::CeilingLock* RtLockTable::strongest_blocking_lock(
-    const RtTxn& txn) const {
-  const CeilingLock* best = nullptr;
-  for (const auto& [object, lock] : ceiling_locks_) {
-    (void)object;
-    if (!lock.held_by_other(txn)) continue;
-    if (best == nullptr || lock.rw_ceiling.higher_than(best->rw_ceiling)) {
-      best = &lock;
-    }
-  }
-  return best;
-}
-
-bool RtLockTable::ceiling_can_grant(const RtTxn& txn) const {
-  // Assigned (base) priority, never the inherited one — see cc/pcp.cpp.
-  const CeilingLock* blocking = strongest_blocking_lock(txn);
-  return blocking == nullptr ||
-         txn.base_priority.higher_than(blocking->rw_ceiling);
-}
-
-void RtLockTable::ceiling_grant(RtTxn& txn, db::ObjectId object,
-                                LockMode mode) {
-  CeilingLock& lock = ceiling_locks_[object];
-  if (mode == LockMode::kWrite) {
-    if (options_.audit && (lock.writer != nullptr || !lock.readers.empty())) {
-      audit_fail("ceiling rule admitted a conflicting write");
-    }
-    lock.writer = &txn;
-  } else {
-    if (options_.audit && lock.writer != nullptr) {
-      audit_fail("ceiling rule admitted a read under a write lock");
-    }
-    lock.readers.push_back(&txn);
-  }
-  refresh_rw_ceiling(object, lock);
-}
-
-void RtLockTable::refresh_static_ceilings(const RtTxn& txn) {
-  for (const cc::Operation& op : txn.access.operations()) {
-    Priority write = Priority::lowest();
-    Priority abs = Priority::lowest();
-    for (const auto& [id, active] : active_) {
-      (void)id;
-      if (!active->access.touches(op.object)) continue;
-      abs = Priority::stronger(abs, active->base_priority);
-      if (active->access.writes(op.object)) {
-        write = Priority::stronger(write, active->base_priority);
-      }
-    }
-    write_ceiling_[op.object] = write;
-    abs_ceiling_[op.object] = abs;
-    if (auto it = ceiling_locks_.find(op.object); it != ceiling_locks_.end()) {
-      refresh_rw_ceiling(op.object, it->second);
-    }
-  }
-}
-
-void RtLockTable::refresh_rw_ceiling(db::ObjectId object, CeilingLock& lock) {
-  assert(!lock.empty());
-  lock.rw_ceiling = lock.writer != nullptr ? abs_ceiling_[object]
-                                           : write_ceiling_of(object);
-}
-
-void RtLockTable::ceiling_update_inheritance() {
-  std::unordered_map<const RtTxn*, Priority> inherited;
-  inherited.reserve(active_.size());
-  for (const auto& [id, txn] : active_) {
-    (void)id;
-    inherited.emplace(txn, Priority::lowest());
-  }
-  auto effective = [&](const RtTxn* txn) {
-    return Priority::stronger(txn->base_priority, inherited.at(txn));
-  };
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const CeilingWaiter* waiter : ceiling_waiters_) {
-      if (waiter->txn->wounded.load(std::memory_order_relaxed)) continue;
-      const CeilingLock* blocking = strongest_blocking_lock(*waiter->txn);
-      if (blocking == nullptr) continue;
-      const Priority urgency = effective(waiter->txn);
-      auto inherit = [&](const RtTxn* holder) {
-        if (holder == waiter->txn) return;
-        auto it = inherited.find(holder);
-        if (it == inherited.end()) return;
-        if (urgency.higher_than(it->second)) {
-          it->second = urgency;
-          changed = true;
-        }
-      };
-      if (blocking->writer != nullptr) inherit(blocking->writer);
-      for (const RtTxn* reader : blocking->readers) inherit(reader);
-    }
-  }
-  for (const auto& [id, txn] : active_) {
-    (void)id;
-    txn->inherited = inherited.at(txn);
-  }
-}
-
-bool RtLockTable::grant_pass() {
-  for (auto it = ceiling_waiters_.begin(); it != ceiling_waiters_.end(); ++it) {
-    CeilingWaiter* waiter = *it;
-    // A wounded waiter is unwinding; granting it would only hand a lock to
-    // a corpse.
-    if (waiter->txn->wounded.load(std::memory_order_relaxed)) continue;
-    if (!ceiling_can_grant(*waiter->txn)) continue;
-    ceiling_waiters_.erase(it);
-    if (options_.audit && !ceiling_can_grant(*waiter->txn)) {
-      audit_fail("ceiling grant rule violated at queue grant");
-    }
-    ceiling_grant(*waiter->txn, waiter->object, waiter->mode);
-    waiter->granted = true;
-    ++stats_.grants;
-    end_block(*waiter->txn);
-    queue_wake(*waiter->txn);
-    return true;
-  }
-  return false;
-}
-
-bool RtLockTable::resolve_dynamic_deadlock() {
-  // Blocked-by graph over live (non-wounded) waiters; see cc/pcp.cpp for
-  // the rationale. Every node on a cycle is a waiter, so any victim is
-  // safely woundable.
-  std::unordered_map<const RtTxn*, std::vector<const RtTxn*>> edges;
-  for (const CeilingWaiter* waiter : ceiling_waiters_) {
-    if (waiter->txn->wounded.load(std::memory_order_relaxed)) continue;
-    const CeilingLock* blocking = strongest_blocking_lock(*waiter->txn);
-    if (blocking == nullptr) continue;
-    auto& targets = edges[waiter->txn];
-    if (blocking->writer != nullptr && blocking->writer != waiter->txn) {
-      targets.push_back(blocking->writer);
-    }
-    for (const RtTxn* reader : blocking->readers) {
-      if (reader != waiter->txn) targets.push_back(reader);
-    }
-  }
-
-  for (const CeilingWaiter* start : ceiling_waiters_) {
-    if (start->txn->wounded.load(std::memory_order_relaxed)) continue;
-    std::vector<const RtTxn*> path;
-    std::unordered_map<const RtTxn*, int> colour;
-    struct Frame {
-      const RtTxn* node;
-      std::size_t next = 0;
-    };
-    std::vector<Frame> stack;
-    auto targets_of =
-        [&](const RtTxn* node) -> const std::vector<const RtTxn*>& {
-      static const std::vector<const RtTxn*> kEmpty;
-      auto it = edges.find(node);
-      return it == edges.end() ? kEmpty : it->second;
-    };
-    colour[start->txn] = 1;
-    path.push_back(start->txn);
-    stack.push_back(Frame{start->txn});
-    while (!stack.empty()) {
-      Frame& frame = stack.back();
-      const auto& targets = targets_of(frame.node);
-      if (frame.next >= targets.size()) {
-        colour[frame.node] = 2;
-        path.pop_back();
-        stack.pop_back();
-        continue;
-      }
-      const RtTxn* next = targets[frame.next++];
-      if (colour[next] == 1) {
-        auto it = std::find(path.begin(), path.end(), next);
-        assert(it != path.end());
-        const RtTxn* victim = *it;
-        for (auto member = it; member != path.end(); ++member) {
-          if (victim->effective_priority().higher_than(
-                  (*member)->effective_priority())) {
-            victim = *member;
-          }
-        }
-        ++stats_.pcp_dynamic_deadlocks;
-        ++stats_.protocol_aborts;
-        wound(*const_cast<RtTxn*>(victim), AbortReason::kDeadlockVictim);
-        return true;
-      }
-      if (colour[next] == 0) {
-        colour[next] = 1;
-        path.push_back(next);
-        stack.push_back(Frame{next});
-      }
-    }
-  }
-  return false;
-}
-
-void RtLockTable::stabilize() {
-  // Alternate inheritance and granting to a fixpoint; the backstop wound is
-  // asynchronous (the victim withdraws itself and re-enters stabilize), so
-  // unlike the simulation no re-entrancy guard is needed.
-  do {
-    ceiling_update_inheritance();
-  } while (grant_pass());
-  if (options_.pcp_deadlock_backstop && resolve_dynamic_deadlock()) {
-    // The wounded victim is now excluded from the blocked-by graph; one
-    // more pass settles inheritance around it.
-    do {
-      ceiling_update_inheritance();
-    } while (grant_pass());
-  }
-}
-
-void RtLockTable::remove_waiter(CeilingWaiter& waiter) {
-  auto it = std::find(ceiling_waiters_.begin(), ceiling_waiters_.end(),
-                      &waiter);
-  assert(it != ceiling_waiters_.end());
-  ceiling_waiters_.erase(it);
-}
-
-void RtLockTable::acquire_ceiling(RtTxn& txn, db::ObjectId object,
-                                  LockMode mode) {
-  PqSpinLock::Node node;
-  lock_latch(node, txn.base_priority);
-  throw_if_wounded(txn);
-  if (options_.audit && txn.released) {
-    audit_fail("acquire after release (two-phase rule)");
-  }
-  mode = effective_mode(mode);
-
-  if (ceiling_can_grant(txn)) {
-    ceiling_grant(txn, object, mode);
-    ++stats_.grants;
-    unlock_latch();
-    return;
-  }
-
-  // The ceiling may forbid locking an unlocked object — the protocol's
-  // "insurance premium", counted separately.
-  if (!ceiling_locks_.contains(object)) {
-    ++stats_.ceiling_denials;
-    ++txn.ceiling_blocks;
-  }
-
-  txn.token.reset();
-  CeilingWaiter waiter{&txn, object, mode, false, next_seq_++};
-  auto pos = std::find_if(ceiling_waiters_.begin(), ceiling_waiters_.end(),
-                          [&](const CeilingWaiter* w) {
-                            const Priority a = txn.base_priority;
-                            const Priority b = w->txn->base_priority;
-                            if (a != b) return a.higher_than(b);
-                            return waiter.seq < w->seq;
-                          });
-  ceiling_waiters_.insert(pos, &waiter);
-  begin_block(txn);
-  stabilize();  // may grant this very waiter (wake drains on unlock)
-  unlock_latch();
-
-  bool woken = backend_.block(txn.token, txn.deadline);
-
-  PqSpinLock::Node node2;
-  lock_latch(node2, txn.base_priority);
-  // Stale-signal filter; see acquire_locking for the race.
-  while (woken && !waiter.granted &&
-         !txn.wounded.load(std::memory_order_relaxed) &&
-         backend_.now() < txn.deadline) {
-    txn.token.reset();
-    unlock_latch();
-    woken = backend_.block(txn.token, txn.deadline);
-    lock_latch(node2, txn.base_priority);
-  }
-  if (!waiter.granted) {
-    remove_waiter(waiter);
-    end_block(txn);
-    stabilize();
-    const bool was_wounded = txn.wounded.load(std::memory_order_relaxed);
-    const AbortReason reason =
-        was_wounded ? txn.wound_reason : AbortReason::kDeadlineMiss;
-    assert(was_wounded || !woken || backend_.now() >= txn.deadline);
-    (void)woken;
-    unlock_latch();
-    throw TxnAborted{reason};
-  }
-  const bool aborted = txn.wounded.load(std::memory_order_relaxed);
-  const AbortReason reason = txn.wound_reason;
-  unlock_latch();
-  if (aborted) throw TxnAborted{reason};
-}
-
-// ---------------------------------------------------------------------------
-// Timestamp family (mirrors cc/tso.cpp)
-// ---------------------------------------------------------------------------
-
-void RtLockTable::acquire_timestamp(RtTxn& txn, db::ObjectId object,
-                                    LockMode mode) {
-  PqSpinLock::Node node;
-  lock_latch(node, txn.base_priority);
-  throw_if_wounded(txn);
-  auto ts_it = timestamps_.find(txn.id);
-  if (ts_it == timestamps_.end()) {
-    // Attempt began without on_begin — count it and assign lazily so the
-    // run can proceed.
-    if (options_.audit) audit_fail("timestamp access before on_begin");
-    ts_it = timestamps_.emplace(txn.id, next_ts_++).first;
-  }
-  const std::uint64_t ts = ts_it->second;
-  ObjectTs& state = object_ts_[object];
-  const bool rejected =
-      mode == LockMode::kRead
-          ? ts < state.write_ts
-          : (ts < state.read_ts || ts < state.write_ts);
-  if (rejected) {
-    ++stats_.tso_rejections;
-    ++stats_.protocol_aborts;
-    unlock_latch();
-    throw TxnAborted{AbortReason::kTimestampOrder};
-  }
-  if (mode == LockMode::kRead) {
-    state.read_ts = std::max(state.read_ts, ts);
-  } else {
-    state.write_ts = ts;
-  }
-  ++stats_.grants;
-  unlock_latch();
+std::string RtLockTable::first_audit_failure() const {
+  PqSpinLock::Guard guard{latch_, sim::Priority::highest()};
+  if (monitor_ == nullptr || monitor_->reports().empty()) return {};
+  const check::Violation& first = monitor_->reports().front();
+  return first.rule + ": " + first.detail;
 }
 
 }  // namespace rtdb::rt

@@ -1,101 +1,87 @@
 #pragma once
 
-// Thread-native lock manager for the real-hardware backend: one shared
-// lock table guarded by a priority-queuing spinlock (rt/pqlock.hpp),
-// implementing the same protocol rules as the coroutine controllers in
-// src/cc/ — 2PL with FIFO or priority queues, basic priority inheritance,
-// the priority ceiling protocol (shared or exclusive-only), high-priority
-// wounding, wait-die / wound-wait, and basic timestamp ordering.
+// The thread backend's lock manager: the simulator's own cc:: controller,
+// run on real threads. No protocol rule lives here — every grant, queue
+// order, ceiling, inheritance, victim, wound/die and timestamp decision is
+// made by the controller core::make_controller builds for the simulator.
+// The table only adds the waiting, which is what real threads add:
 //
-// Differences forced by real threads, and nothing else:
+//   * A PqSpinLock latch serializes every entry, so the controller sees
+//     the same one-call-at-a-time world it sees on the simulator.
+//   * A private sim::Kernel, touched only under the latch, hosts the
+//     controller's processes and semaphores. Its clock moves to
+//     ThreadBackend::now() at each latch entry, so blocking spans (and the
+//     monitor's trace) are measured in backend time.
+//   * Each attempt owns one kernel process, which runs its acquire()
+//     coroutines. An acquire that suspends in the controller leaves that
+//     process blocked in the kernel and parks the thread on its WaitToken;
+//     the call that grants it (a release, an abort) wakes the thread after
+//     leaving the latch. A parked acquire is bounded by the transaction's
+//     deadline: on timeout the thread kills its own process, whose guards
+//     withdraw the wait, and acquire returns kDeadlineMiss.
+//   * The abort hook does what the simulator's transaction manager does —
+//     kill the victim's process, then release_all and on_end on its
+//     behalf — and then flags the victim and wakes it if it is parked. The
+//     victim's thread sees the flag at its next acquire, its next
+//     operation boundary (checkpoint), or at release_all, which decides
+//     under the latch: an attempt whose locks were released on its behalf
+//     never commits.
 //
-//   * Aborting another transaction is cooperative. The simulation kills a
-//     victim's process synchronously; a real thread cannot be killed
-//     mid-instruction, so wounding sets a flag (and wakes the victim if
-//     it is parked). Victims observe the flag at the next checkpoint —
-//     lock request, operation boundary, or commit — and unwind through
-//     cc::TxnAborted exactly like the simulated protocols.
-//   * Waiting parks the OS thread on the ExecutionBackend (condvar under
-//     the thread backend), bounded by the transaction's deadline.
-//
-// Everything else — grant rules, queue ordering, ceiling arithmetic,
-// victim policies, age rules, timestamp rules — is a transliteration of
-// the corresponding src/cc/ controller, so the two backends disagree only
-// where physical timing does.
+// With Options::audit the controller reports to a check::ConformanceMonitor
+// carrying the audits the simulator attaches (core::attach_audit).
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "cc/access_set.hpp"
-#include "cc/deadlock.hpp"
+#include "cc/controller.hpp"
 #include "cc/two_phase.hpp"
-#include "cc/types.hpp"
+#include "check/monitor.hpp"
 #include "core/config.hpp"
-#include "db/types.hpp"
-#include "rt/backend.hpp"
 #include "rt/pqlock.hpp"
-#include "sim/priority.hpp"
+#include "rt/thread_backend.hpp"
+#include "sim/kernel.hpp"
+#include "sim/semaphore.hpp"
 
 namespace rtdb::rt {
 
-// The lock table's view of one transaction attempt — the thread-side
-// analogue of cc::CcTxn.
-struct RtTxn {
-  db::TxnId id{};
-  sim::Priority base_priority{};
-  sim::TimePoint deadline = sim::TimePoint::max();
-  cc::AccessSet access;  // declared set, already at lock granularity
+// One transaction attempt: the controller's view (the cc::CcTxn base —
+// identity, priority, declared set, blocking statistics) plus the table's
+// per-attempt state. on_begin starts a fresh attempt on the same object.
+struct RtTxn : cc::CcTxn {
+  RtTxn() { deadline = sim::TimePoint::max(); }
 
-  // ---- maintained under the table latch ----
-  sim::Priority inherited = sim::Priority::lowest();
-  bool blocked = false;
-  bool released = false;  // two-phase audit: no acquire after release
-  sim::TimePoint blocked_since{};
+  // Set once another transaction's abort ended this attempt on its behalf
+  // (its locks are released). The reason is written before the
+  // release-store, so a reader that sees the flag may read it.
+  std::atomic<bool> aborted{false};
+  cc::AbortReason abort_reason = cc::AbortReason::kSystem;
 
-  // Cooperative abort flag: reason is written before the release-store,
-  // so a checkpoint that observes `wounded` may read the reason freely.
-  std::atomic<bool> wounded{false};
-  cc::AbortReason wound_reason = cc::AbortReason::kSystem;
-
+  // ---- under the table latch ----
+  sim::ProcessId process{};
+  sim::Semaphore* inbox = nullptr;  // the process's request signal
+  db::ObjectId object = 0;          // the posted request...
+  cc::LockMode mode = cc::LockMode::kRead;
+  bool done = false;                // ...and its outcome
+  std::optional<cc::AbortReason> result;
+  bool parked = false;
   WaitToken token;
-
-  // ---- per-attempt statistics (read by the runner between attempts) ----
-  sim::Duration blocked_total{};
-  std::uint32_t block_count = 0;
-  std::uint32_t ceiling_blocks = 0;
-
-  sim::Priority effective_priority() const {
-    return sim::Priority::stronger(base_priority, inherited);
-  }
-
-  // Called by the runner before each attempt re-enters on_begin.
-  void reset_for_attempt() {
-    inherited = sim::Priority::lowest();
-    blocked = false;
-    released = false;
-    wounded.store(false, std::memory_order_relaxed);
-    blocked_total = sim::Duration::zero();
-    block_count = 0;
-    ceiling_blocks = 0;
-  }
 };
 
 struct RtLockStats {
   std::uint64_t grants = 0;
+  std::uint64_t blocks = 0;  // requests that suspended in the controller
   std::uint64_t protocol_aborts = 0;
   std::uint64_t deadlocks = 0;  // 2PL-family WFG cycles resolved
   std::uint64_t pcp_dynamic_deadlocks = 0;
   std::uint64_t wounds = 0;
-  std::uint64_t dies = 0;
-  std::uint64_t tso_rejections = 0;
   std::uint64_t ceiling_denials = 0;
-  // Conformance self-audit failures (0 on a correct implementation).
+  // From the conformance monitor; zero without Options::audit.
   std::uint64_t audit_violations = 0;
-  // Longest single blocking episode observed, and how many episodes
-  // exceeded Options::bound_gate (0 with the gate off).
   sim::Duration max_block_span{};
   std::uint64_t bound_violations = 0;
 };
@@ -108,174 +94,66 @@ class RtLockTable {
     cc::TwoPhaseLocking::VictimPolicy victim_policy =
         cc::TwoPhaseLocking::VictimPolicy::kLowestPriority;
     bool pcp_deadlock_backstop = true;
-    // Run the inline conformance audit (compatibility at every grant,
-    // ceiling grant rule, two-phase rule, quiescence).
+    // Attach the ConformanceMonitor.
     bool audit = false;
-    // Blocking-bound gate (zero = off): episodes longer than this count
-    // into RtLockStats::bound_violations. Includes the analyzer's
-    // thread-backend clock allowance; see analysis/bounds.hpp.
+    // The monitor's blocking-bound gate (zero = measure only). Includes
+    // the analyzer's thread-backend clock allowance; see
+    // analysis/bounds.hpp.
     sim::Duration bound_gate{};
   };
 
-  RtLockTable(Options options, ExecutionBackend& backend);
+  RtLockTable(Options options, ThreadBackend& backend);
 
   RtLockTable(const RtLockTable&) = delete;
   RtLockTable& operator=(const RtLockTable&) = delete;
 
   void on_begin(RtTxn& txn);
-  // Blocks (bounded by txn.deadline) until granted; throws cc::TxnAborted
-  // when the protocol aborts this transaction (die, wound observed,
-  // deadlock victim, timestamp rejection) or the deadline passes while
-  // queued (AbortReason::kDeadlineMiss).
-  void acquire(RtTxn& txn, db::ObjectId object, cc::LockMode mode);
-  void release_all(RtTxn& txn);
+  // Blocks (bounded by txn.deadline) until granted. Returns nullopt on a
+  // grant, or why the attempt must abort: the controller's verdict on
+  // this request, an abort by another transaction, or kDeadlineMiss.
+  std::optional<cc::AbortReason> acquire(RtTxn& txn, db::ObjectId object,
+                                         cc::LockMode mode);
+  // Releases everything the attempt holds and returns nullopt — the
+  // commit point — or returns the reason when the attempt had already
+  // been ended on its behalf.
+  std::optional<cc::AbortReason> release_all(RtTxn& txn);
   void on_end(RtTxn& txn);
 
-  // Cooperative abort checkpoint; executors call this between operations
-  // and before commit. Throws cc::TxnAborted when the txn was wounded.
-  static void checkpoint(RtTxn& txn) {
-    if (txn.wounded.load(std::memory_order_acquire)) {
-      throw cc::TxnAborted{txn.wound_reason};
-    }
+  // The abort flag, for the checks between operations (no latch).
+  static std::optional<cc::AbortReason> checkpoint(const RtTxn& txn) {
+    if (!txn.aborted.load(std::memory_order_acquire)) return std::nullopt;
+    return txn.abort_reason;
   }
 
   RtLockStats stats() const;
-  // Post-run invariant check: no active transactions, no held locks, no
-  // waiters, all ceilings lowered, no live timestamps.
+  // Post-run check: the controller is quiescent, and no attempt or
+  // process is left.
   bool quiescent(std::string* why = nullptr) const;
-  // First audit failure message (empty when the audit never fired).
+  // The monitor's first report (empty when it never fired).
   std::string first_audit_failure() const;
 
  private:
-  enum class Family : std::uint8_t { kLocking, kCeiling, kTimestamp };
+  // Takes the latch and moves the kernel clock to the backend's.
+  void enter(PqSpinLock::Node& node, sim::Priority priority);
+  // Drains the kernel, releases the latch, and delivers the wakes the
+  // section queued (outside the spinlock, so a woken thread never spins
+  // on a latch its waker still holds).
+  void leave();
+  // The attempt's process: serves each posted request with the
+  // controller's acquire().
+  sim::Task<void> serve(RtTxn& txn);
+  // The controller's abort hook.
+  void abort_attempt(db::TxnId victim, cc::AbortReason reason);
 
-  // ---- 2PL-family state (mirrors cc::LockTable) ----
-  struct Request {
-    RtTxn* txn = nullptr;
-    db::ObjectId object = 0;
-    cc::LockMode mode = cc::LockMode::kRead;
-    bool granted = false;
-    std::uint64_t seq = 0;
-  };
-  struct ObjectLock {
-    std::vector<std::pair<RtTxn*, cc::LockMode>> holders;
-    std::vector<Request*> queue;  // policy order
-  };
-
-  // ---- ceiling state (mirrors cc::PriorityCeiling) ----
-  struct CeilingLock {
-    RtTxn* writer = nullptr;
-    std::vector<RtTxn*> readers;
-    sim::Priority rw_ceiling = sim::Priority::lowest();
-    bool empty() const { return writer == nullptr && readers.empty(); }
-    bool held_by_other(const RtTxn& txn) const;
-  };
-  struct CeilingWaiter {
-    RtTxn* txn = nullptr;
-    db::ObjectId object = 0;
-    cc::LockMode mode = cc::LockMode::kRead;
-    bool granted = false;
-    std::uint64_t seq = 0;
-  };
-
-  // ---- timestamp state (mirrors cc::TimestampOrdering) ----
-  struct ObjectTs {
-    std::uint64_t read_ts = 0;
-    std::uint64_t write_ts = 0;
-  };
-
-  Family family() const;
-  bool priority_queues() const;
-  bool uses_inheritance() const;
-  bool uses_wfg() const;
-
-  // All helpers below require the table latch.
-  void lock_latch(PqSpinLock::Node& node, sim::Priority pri) {
-    latch_.lock(node, pri);
-  }
-  // Releases the latch and delivers every wake the critical section
-  // accumulated (tokens are signaled outside the spinlock).
-  void unlock_latch();
-  void throw_if_wounded(RtTxn& txn);
-
-  void begin_block(RtTxn& txn);
-  void end_block(RtTxn& txn);
-  void queue_wake(RtTxn& txn) { pending_wakes_.push_back(&txn.token); }
-  // Marks the victim for cooperative abort and wakes it if parked.
-  // Returns false if it was already wounded.
-  bool wound(RtTxn& victim, cc::AbortReason reason);
-  void audit_fail(const char* what);
-
-  // ---- 2PL family ----
-  void acquire_locking(RtTxn& txn, db::ObjectId object, cc::LockMode mode);
-  bool try_grant(RtTxn& txn, db::ObjectId object, cc::LockMode mode);
-  void enqueue(Request& request);
-  void cancel(Request& request);
-  void promote(db::ObjectId object, ObjectLock& lock);
-  void erase_if_idle(db::ObjectId object);
-  bool precedes(const Request& a, const Request& b) const;
-  bool compatible_with_holders(const ObjectLock& lock,
-                               cc::LockMode mode) const;
-  std::vector<RtTxn*> blockers_of(const Request& request) const;
-  // Blockers a not-yet-queued request would have: conflicting holders plus
-  // conflicting queued requests that would precede it.
-  std::vector<RtTxn*> blockers_for_newcomer(db::ObjectId object,
-                                            cc::LockMode mode,
-                                            const RtTxn& txn) const;
-  void refresh_edges(db::ObjectId object);
-  // Resolves WFG cycles through `txn`; throws if txn itself is the victim
-  // (caller's cleanup already ran).
-  void resolve_deadlocks(RtTxn& txn, Request& request);
-  db::TxnId pick_victim(const std::vector<db::TxnId>& cycle,
-                        db::TxnId requester) const;
-  void update_inheritance();
-
-  // ---- ceiling family ----
-  cc::LockMode effective_mode(cc::LockMode mode) const;
-  bool ceiling_can_grant(const RtTxn& txn) const;
-  const CeilingLock* strongest_blocking_lock(const RtTxn& txn) const;
-  void ceiling_grant(RtTxn& txn, db::ObjectId object, cc::LockMode mode);
-  void refresh_static_ceilings(const RtTxn& txn);
-  void refresh_rw_ceiling(db::ObjectId object, CeilingLock& lock);
-  sim::Priority write_ceiling_of(db::ObjectId object) const;
-  void acquire_ceiling(RtTxn& txn, db::ObjectId object, cc::LockMode mode);
-  void stabilize();
-  bool grant_pass();
-  void ceiling_update_inheritance();
-  bool resolve_dynamic_deadlock();
-  void remove_waiter(CeilingWaiter& waiter);
-
-  // ---- timestamp family ----
-  void acquire_timestamp(RtTxn& txn, db::ObjectId object, cc::LockMode mode);
-
-  Options options_;
-  ExecutionBackend& backend_;
-
+  ThreadBackend& backend_;
   // Mutable so the const observers (stats, quiescent) can take it.
   mutable PqSpinLock latch_;
   // Everything below is guarded by latch_.
-  std::vector<WaitToken*> pending_wakes_;
+  sim::Kernel kernel_;
+  std::unique_ptr<cc::ConcurrencyController> cc_;
+  std::unique_ptr<check::ConformanceMonitor> monitor_;
   std::unordered_map<db::TxnId, RtTxn*> active_;
-  std::uint64_t next_seq_ = 0;
-  RtLockStats stats_;
-  std::string first_audit_failure_;
-
-  // 2PL family
-  std::unordered_map<db::ObjectId, ObjectLock> locks_;
-  std::size_t waiting_ = 0;
-  cc::WaitForGraph wfg_;
-  std::unordered_map<db::TxnId, Request*> waiting_requests_;
-
-  // ceiling family
-  std::unordered_map<db::ObjectId, CeilingLock> ceiling_locks_;
-  std::vector<CeilingWaiter*> ceiling_waiters_;  // base-priority order
-  std::vector<sim::Priority> write_ceiling_;
-  std::vector<sim::Priority> abs_ceiling_;
-
-  // timestamp family
-  std::unordered_map<db::TxnId, std::uint64_t> timestamps_;
-  std::unordered_map<db::ObjectId, ObjectTs> object_ts_;
-  std::uint64_t next_ts_ = 1;
+  std::vector<WaitToken*> pending_wakes_;
 };
 
 }  // namespace rtdb::rt

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -57,24 +58,58 @@ struct SharedCounters {
   std::atomic<std::uint64_t> deadline_kills{0};
 };
 
-void record_miss(Slot& slot, ExecutionBackend& backend) {
+void record_miss(Slot& slot, ThreadBackend& backend) {
   slot.record.processed = true;
   slot.record.missed_deadline = true;
   slot.record.finish = backend.now();
 }
 
+// One attempt's body, the thread-side mirror of txn::LocalExecutor::run:
+// returns nullopt once the work is done, or why the attempt must abort.
+// Deadline misses are detected at operation boundaries rather than by a
+// watchdog process (a real thread cannot be killed asynchronously), so a
+// doomed attempt runs until its next boundary before it is charged.
+std::optional<cc::AbortReason> run_attempt(const txn::TransactionSpec& spec,
+                                           RtTxn& txn, RtLockTable& table,
+                                           ThreadBackend& backend,
+                                           const core::SystemConfig& config) {
+  const std::uint32_t granularity = std::max(1u, config.lock_granularity);
+  auto boundary = [&]() -> std::optional<cc::AbortReason> {
+    if (auto aborted = RtLockTable::checkpoint(txn)) return aborted;
+    if (backend.now() >= spec.deadline) return cc::AbortReason::kDeadlineMiss;
+    return std::nullopt;
+  };
+  std::vector<db::ObjectId> held;
+  for (const cc::Operation& op : spec.access.operations()) {
+    if (auto aborted = boundary()) return aborted;
+    const db::ObjectId granule = op.object / granularity;
+    if (std::find(held.begin(), held.end(), granule) == held.end()) {
+      const cc::LockMode mode = txn.access.writes(granule)
+                                    ? cc::LockMode::kWrite
+                                    : cc::LockMode::kRead;
+      if (auto aborted = table.acquire(txn, granule, mode)) return aborted;
+      held.push_back(granule);
+    }
+    backend.advance(config.io_per_object);   // read the object
+    backend.advance(config.cpu_per_object);  // compute on it
+  }
+  if (auto aborted = boundary()) return aborted;
+  if (spec.access.write_count() > 0) {
+    // Deferred write-back: with one disk per object the write I/Os
+    // proceed in parallel, so commit costs a single io_per_object.
+    backend.advance(config.io_per_object);
+  }
+  return std::nullopt;
+}
+
 // The per-transaction body: the thread-side mirror of the
-// txn::TransactionManager restart loop around txn::LocalExecutor::run.
-// Deadline misses are detected at checkpoints rather than by a watchdog
-// process (a real thread cannot be killed asynchronously), so a doomed
-// attempt runs until its next operation boundary before it is charged.
-void run_transaction(Slot& slot, RtLockTable& table, ExecutionBackend& backend,
+// txn::TransactionManager restart loop.
+void run_transaction(Slot& slot, RtLockTable& table, ThreadBackend& backend,
                      const core::SystemConfig& config,
                      SharedCounters& counters) {
   const txn::TransactionSpec& spec = slot.spec;
   stats::TxnRecord& record = slot.record;
   RtTxn& txn = slot.txn;
-  const std::uint32_t granularity = std::max(1u, config.lock_granularity);
 
   for (std::uint32_t attempt = 1;; ++attempt) {
     if (backend.now() >= spec.deadline) {
@@ -84,47 +119,18 @@ void run_transaction(Slot& slot, RtLockTable& table, ExecutionBackend& backend,
     }
     if (attempt == 1) record.first_start = backend.now();
 
-    txn.reset_for_attempt();
     table.on_begin(txn);
-    bool committed = false;
-    cc::AbortReason reason = cc::AbortReason::kSystem;
-    try {
-      std::vector<db::ObjectId> held;
-      for (const cc::Operation& op : spec.access.operations()) {
-        RtLockTable::checkpoint(txn);
-        if (backend.now() >= spec.deadline) {
-          throw cc::TxnAborted{cc::AbortReason::kDeadlineMiss};
-        }
-        const db::ObjectId granule = op.object / granularity;
-        if (std::find(held.begin(), held.end(), granule) == held.end()) {
-          const cc::LockMode mode = txn.access.writes(granule)
-                                        ? cc::LockMode::kWrite
-                                        : cc::LockMode::kRead;
-          table.acquire(txn, granule, mode);
-          held.push_back(granule);
-        }
-        backend.advance(config.io_per_object);   // read the object
-        backend.advance(config.cpu_per_object);  // compute on it
-      }
-      RtLockTable::checkpoint(txn);
-      if (backend.now() >= spec.deadline) {
-        throw cc::TxnAborted{cc::AbortReason::kDeadlineMiss};
-      }
-      if (spec.access.write_count() > 0) {
-        // Deferred write-back: with one disk per object the write I/Os
-        // proceed in parallel, so commit costs a single io_per_object.
-        backend.advance(config.io_per_object);
-      }
-      committed = true;
-    } catch (const cc::TxnAborted& abort) {
-      reason = abort.reason();
-    }
-    table.release_all(txn);
+    std::optional<cc::AbortReason> aborted =
+        run_attempt(spec, txn, table, backend, config);
+    // The commit decision: release_all reports, under the latch, an
+    // attempt another transaction's abort already ended.
+    const std::optional<cc::AbortReason> ended = table.release_all(txn);
+    if (!aborted) aborted = ended;
     table.on_end(txn);
     record.blocked += txn.blocked_total;
     record.ceiling_blocks += txn.ceiling_blocks;
 
-    if (committed) {
+    if (!aborted) {
       record.processed = true;
       record.committed = true;
       record.finish = backend.now();
@@ -134,7 +140,7 @@ void run_transaction(Slot& slot, RtLockTable& table, ExecutionBackend& backend,
       record.missed_deadline = record.finish > spec.deadline;
       return;
     }
-    if (reason == cc::AbortReason::kDeadlineMiss) {
+    if (*aborted == cc::AbortReason::kDeadlineMiss) {
       record_miss(slot, backend);
       counters.deadline_kills.fetch_add(1, std::memory_order_relaxed);
       return;
@@ -143,7 +149,7 @@ void run_transaction(Slot& slot, RtLockTable& table, ExecutionBackend& backend,
     ++record.aborts;
     counters.restarts.fetch_add(1, std::memory_order_relaxed);
     sim::Duration backoff = config.restart_backoff;
-    if (reason == cc::AbortReason::kAgeBased) {
+    if (*aborted == cc::AbortReason::kAgeBased) {
       // Wait-die restarts retry against the same older holders; back off
       // exponentially like txn::TransactionManager so they stop thrashing.
       backoff = backoff * (std::int64_t{1}
@@ -178,7 +184,8 @@ RtRunResult run_threaded(const core::SystemConfig& config,
   const std::uint32_t granules =
       (config.db_objects + granularity - 1) / granularity;
   RtLockTable table{{config.protocol, granules, config.victim_policy,
-                     config.pcp_deadlock_backstop, config.conformance_check,
+                     config.pcp_deadlock_backstop,
+                     config.conformance_check || config.bounds_check,
                      runner_config.bound_gate},
                     backend};
 

@@ -6,7 +6,7 @@
 // releases each transaction at its arrival instant onto the worker pool,
 // where it executes the same per-operation body as txn::LocalExecutor —
 // acquire granule, read I/O, compute, commit writes — against the
-// thread-native RtLockTable.
+// RtLockTable, which runs the simulator's controller for the protocol.
 //
 // Restrictions (checked, not silent): single-site scheme, no periodic
 // sources. The distributed schemes and periodic drivers stay
@@ -28,7 +28,8 @@ struct RtRunResult {
   RtLockStats locks;
   std::uint64_t restarts = 0;
   std::uint64_t deadline_kills = 0;
-  std::uint64_t conformance_violations = 0;  // audit + quiescence failures
+  // Monitor violations + quiescence failure + body exceptions.
+  std::uint64_t conformance_violations = 0;
   std::string quiescence_failure;            // empty when clean
 
   // Provenance of the numbers.
@@ -40,11 +41,11 @@ struct RtRunResult {
 struct RtRunnerConfig {
   std::uint32_t workers = 0;       // 0 = one per hardware core
   std::uint64_t unit_nanos = 20'000;
-  // Blocking-bound gate (sim units; zero = off): the lock table counts
-  // every blocking episode longer than this into bound_violations. The
-  // caller (core/experiment.cpp) derives it from analysis::analyze — the
-  // thread-backend margin for real-clock wakeup overshoot is already in
-  // the analyzer's figure, so the gate is used as-is.
+  // Blocking-bound gate (sim units; zero = off): the conformance monitor
+  // counts every blocking episode longer than this into bound_violations.
+  // The caller (core/experiment.cpp) derives it from analysis::analyze —
+  // the thread-backend margin for real-clock wakeup overshoot is already
+  // in the analyzer's figure, so the gate is used as-is.
   sim::Duration bound_gate{};
 };
 

@@ -1,6 +1,6 @@
 #pragma once
 
-// ExecutionBackend on real OS threads: a fixed worker pool (after the
+// The real-thread execution backend: a fixed worker pool (after the
 // static_thread_pool idiom in the related DB-CC repo) pulling spawned
 // bodies from a FIFO queue, with the steady clock mapped onto simulation
 // time units.
@@ -16,6 +16,7 @@
 // same protocol decisions modulo physical interleaving), never bitwise —
 // see DESIGN.md for what each backend promises.
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -26,9 +27,27 @@
 #include <vector>
 
 #include "core/annotations.hpp"
-#include "rt/backend.hpp"
+#include "sim/time.hpp"
 
 namespace rtdb::rt {
+
+// A one-shot wake flag a parked thread waits on (block/wake below).
+// Reusable via reset() between waits.
+class WaitToken {
+ public:
+  WaitToken() = default;
+  WaitToken(const WaitToken&) = delete;
+  WaitToken& operator=(const WaitToken&) = delete;
+
+  void reset() RTDB_EXCLUDES(mutex) {
+    const std::lock_guard<std::mutex> guard(mutex);
+    signaled = false;
+  }
+
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool signaled RTDB_GUARDED_BY(mutex) = false;
+};
 
 struct ThreadBackendConfig {
   // Worker threads in the pool. 0 = one per hardware core.
@@ -37,19 +56,30 @@ struct ThreadBackendConfig {
   std::uint64_t unit_nanos = 20'000;
 };
 
-class ThreadBackend final : public ExecutionBackend {
+class ThreadBackend {
  public:
   explicit ThreadBackend(ThreadBackendConfig config = {});
-  ~ThreadBackend() override;
+  ~ThreadBackend();
 
-  std::string_view name() const override { return "threads"; }
+  ThreadBackend(const ThreadBackend&) = delete;
+  ThreadBackend& operator=(const ThreadBackend&) = delete;
 
-  sim::TimePoint now() const override;
-  void advance(sim::Duration d) override;
-  void spawn(std::string name, std::function<void()> body) override;
-  bool block(WaitToken& token, sim::TimePoint until) override;
-  void wake(WaitToken& token) override;
-  void run() override;
+  // The current time, in simulation units.
+  sim::TimePoint now() const;
+  // Occupies the calling thread for the mapped real-time span of `d`
+  // (sleep for the bulk, spin for the tail): a CPU/I-O burst of known
+  // length.
+  void advance(sim::Duration d);
+  // Enqueues a body on the worker pool (FIFO).
+  void spawn(std::string name, std::function<void()> body);
+  // Parks the calling thread until wake(token) or until the clock reaches
+  // `until`, whichever is first. Returns true when woken, false on
+  // timeout. Pass sim::TimePoint::max() for no timeout.
+  bool block(WaitToken& token, sim::TimePoint until);
+  // Signals a parked thread (safe before block: the token latches).
+  void wake(WaitToken& token);
+  // Returns once everything spawned so far (transitively) has finished.
+  void run();
 
   std::uint32_t workers() const { return worker_count_; }
   std::uint64_t unit_nanos() const { return config_.unit_nanos; }

@@ -11,11 +11,15 @@ namespace rtdb::sim {
 // message send — so recycling frames of the same size class beats the
 // general-purpose allocator and keeps the memory cache-warm.
 //
-// Blocks join the free list of the thread that releases them; each
-// simulated System lives on exactly one experiment worker thread, so
-// allocate/deallocate pairs stay thread-local and no synchronization is
-// needed. Every cached block is returned to the global heap when its
-// thread's cache is destroyed, keeping ASan/LSan clean.
+// Blocks join the free list of the thread that releases them, so no
+// synchronization is needed. Each simulated System lives on exactly one
+// experiment worker thread, where allocate/deallocate pairs stay
+// thread-local. The thread backend's lock table (rt/lock_table.hpp) runs
+// its kernel from whichever thread holds its latch, so there a frame may
+// be freed on a different thread from the one that allocated it — always
+// under the latch — and the block moves to the freeing thread's list.
+// Every cached block is returned to the global heap when its thread's
+// cache is destroyed, keeping ASan/LSan clean.
 class FramePool {
   struct Node {
     Node* next;

@@ -10,7 +10,6 @@
 #include "sim/process.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
-#include "sim/trace.hpp"
 #include "sim/wait.hpp"
 
 namespace rtdb::sim {
@@ -94,8 +93,6 @@ class Kernel {
   // releaser's statement. The primitive must have dequeued the node.
   void wake_later(WaitNode& node, WakeStatus status);
 
-  Tracer& tracer() { return tracer_; }
-
  private:
   void start_process(Process& p);
   void resume_process(Process& p, WaitNode& node);
@@ -110,7 +107,6 @@ class Kernel {
   Process* current_ = nullptr;
   std::size_t live_processes_ = 0;
   std::uint64_t events_executed_ = 0;
-  Tracer tracer_;
 };
 
 }  // namespace rtdb::sim

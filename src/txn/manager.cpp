@@ -27,7 +27,7 @@ TransactionManager::~TransactionManager() {
 void TransactionManager::install_hooks() {
   cc_.set_hooks(cc::ControllerHooks{
       [this](db::TxnId victim, cc::AbortReason reason) {
-        return abort_attempt(victim, reason);
+        abort_attempt(victim, reason);
       },
       [this](const cc::CcTxn& ctx) {
         if (cpu_ == nullptr) return;
@@ -169,24 +169,18 @@ sim::Task<void> TransactionManager::attempt_body(Live& live) {
   }
 }
 
-bool TransactionManager::abort_attempt(db::TxnId victim,
+void TransactionManager::abort_attempt(db::TxnId victim,
                                        cc::AbortReason reason) {
   auto it = live_.find(victim);
   assert(it != live_.end() && "abort hook for unknown transaction");
   Live& live = *it->second;
   assert(live.phase == Phase::kRunning);
-  if (kernel_.current() != nullptr && kernel_.current()->id() == live.pid) {
-    // The victim is the currently running attempt (it closed the cycle
-    // itself): its own acquire returns the abort and its body restarts.
-    return true;
-  }
   kernel_.kill(live.pid);
   collect_attempt_stats(live);
   executor_.release(live.attempt, live.spec, /*committed=*/false);
   monitor_.on_restart(live.spec.id);
   ++restarts_;
   schedule_restart(live, reason);
-  return false;
 }
 
 void TransactionManager::schedule_restart(Live& live, cc::AbortReason reason) {

@@ -114,10 +114,8 @@ class TransactionManager {
   void pump_admission_queue();
   void start_attempt(Live& live);
   sim::Task<void> attempt_body(Live& live);
-  // Controller hook: abort (and restart) a transaction's attempt. Returns
-  // true, doing nothing, when the victim is the running attempt itself
-  // (its acquire returns the abort and attempt_body restarts it).
-  bool abort_attempt(db::TxnId victim, cc::AbortReason reason);
+  // Controller hook: abort (and restart) another transaction's attempt.
+  void abort_attempt(db::TxnId victim, cc::AbortReason reason);
   void schedule_restart(Live& live, cc::AbortReason reason);
   void deadline_expired(db::TxnId id);
   void finish(Live& live, bool committed);

@@ -24,7 +24,7 @@ class Rig {
       : kernel_(kernel), cc_(cc) {
     cc_.set_hooks(ControllerHooks{
         [this](db::TxnId victim, AbortReason reason) {
-          return abort(victim, reason);
+          abort(victim, reason);
         },
         [this](const CcTxn& txn) {
           if (on_priority_changed) on_priority_changed(txn);
@@ -48,26 +48,17 @@ class Rig {
   // The abort hook: kill the victim's process (destroying any blocked
   // acquire, whose RAII guards withdraw the wait), then release its locks
   // and deregister it — what the transaction manager does in the full
-  // system. When the victim *is* the currently running process (it closed
-  // the cycle with its own request), the hook only reports that: the
-  // victim's acquire then returns the abort.
-  bool abort(db::TxnId victim, AbortReason reason) {
+  // system. Controllers never name the running transaction here.
+  void abort(db::TxnId victim, AbortReason reason) {
     auto it = entries_.find(victim.value);
-    EXPECT_NE(it, entries_.end()) << "abort hook for unknown txn";
-    if (it == entries_.end()) return false;
+    ASSERT_NE(it, entries_.end()) << "abort hook for unknown txn";
     Entry& entry = it->second;
-    EXPECT_FALSE(entry.hook_aborted);
-    if (entry.hook_aborted) return false;
+    ASSERT_FALSE(entry.hook_aborted);
     entry.hook_aborted = true;
     entry.reason = reason;
-    if (kernel_.current() != nullptr &&
-        kernel_.current()->id() == entry.pid) {
-      return true;  // self-abort path; acquire's RAII cleans up
-    }
     kernel_.kill(entry.pid);
     cc_.release_all(*entry.ctx);
     cc_.on_end(*entry.ctx);
-    return false;
   }
 
   bool hook_aborted(const CcTxn& ctx) const {

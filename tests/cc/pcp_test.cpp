@@ -250,7 +250,7 @@ TEST(PcpTest, KilledWaiterRestoresState) {
 
 // A dynamic-arrival cycle that the requester's own acquire closes, with
 // the requester as the backstop's victim: acquire returns the abort
-// instead of blocking, the hook only reports it, and the protocol drains.
+// instead of blocking, the hook is not called, and the protocol drains.
 TEST(PcpTest, BackstopCanPickTheRequesterItself) {
   Kernel k;
   PriorityCeiling cc{k, 10};
@@ -285,7 +285,7 @@ TEST(PcpTest, BackstopCanPickTheRequesterItself) {
   k.run();
   EXPECT_TRUE(ra.self_aborted);
   EXPECT_EQ(ra.self_abort_reason, AbortReason::kDeadlockVictim);
-  EXPECT_TRUE(rig.hook_aborted(a));
+  EXPECT_FALSE(rig.hook_aborted(a));
   EXPECT_FALSE(rig.hook_aborted(b));
   EXPECT_EQ(cc.dynamic_deadlocks(), 1u);
   // a's release at t=21 grants b its request; b commits at 31, c at 50.

@@ -7,8 +7,6 @@
 
 #include "core/config.hpp"
 #include "rt/runner.hpp"
-#include "rt/sim_backend.hpp"
-#include "sim/kernel.hpp"
 
 namespace rtdb::rt {
 namespace {
@@ -90,27 +88,6 @@ TEST(ThreadBackendTest, BlockedBodyIsWokenFromAnotherBody) {
   });
   backend.run();
   EXPECT_TRUE(woken.load());
-}
-
-TEST(SimBackendTest, SpawnAndAdvanceDriveTheKernel) {
-  sim::Kernel kernel;
-  SimBackend backend{kernel};
-  EXPECT_EQ(backend.name(), "sim");
-  int ran = 0;
-  backend.spawn("body", [&ran] { ++ran; });
-  backend.run();
-  EXPECT_EQ(ran, 1);
-  const sim::TimePoint before = backend.now();
-  backend.advance(sim::Duration::units(7));
-  EXPECT_EQ(backend.now() - before, sim::Duration::units(7));
-}
-
-TEST(SimBackendTest, WakeBeforeBlockLatches) {
-  sim::Kernel kernel;
-  SimBackend backend{kernel};
-  WaitToken token;
-  backend.wake(token);
-  EXPECT_TRUE(backend.block(token, sim::TimePoint::max()));
 }
 
 // The acceptance gate of the rt subsystem: every protocol family completes

@@ -318,19 +318,6 @@ TEST(KernelTest, EventsExecutedCounter) {
   EXPECT_EQ(k.events_executed(), 5u);
 }
 
-TEST(KernelTest, TracerEmitsWhenEnabled) {
-  Kernel k;
-  std::vector<std::string> messages;
-  k.tracer().set_sink([&](TimePoint, std::string_view, std::string_view m) {
-    messages.emplace_back(m);
-  });
-  ASSERT_TRUE(k.tracer().enabled());
-  k.tracer().emit(k.now(), "test", "hello");
-  k.tracer().clear();
-  k.tracer().emit(k.now(), "test", "dropped");
-  EXPECT_EQ(messages, (std::vector<std::string>{"hello"}));
-}
-
 // A process killed while a wake is already pending (here: its delay expires
 // at the same instant the killer acts) must still unwind exactly once.
 TEST(KernelTest, KillRacingWithPendingWake) {
