@@ -28,8 +28,8 @@ class ConformanceMonitor;
 //    that nobody who knows better ever acts on them.
 //
 // Pure observer: attached via FailoverCoordinator::set_observer plus the
-// GlobalCeilingManager/Client lease-observer taps, only when conformance
-// checking is on.
+// GlobalCeilingManager/PartitionedCeilingClient lease-observer taps, only
+// when conformance checking is on.
 class LeaseAudit final : public dist::LeaseObserver {
  public:
   explicit LeaseAudit(ConformanceMonitor& monitor) : monitor_(monitor) {}

@@ -115,8 +115,9 @@ struct SystemConfig {
   // to the same destination within this window coalesce into one framed
   // message (net::BatchChannel). Zero = off — the channel is an exact
   // passthrough and runs stay byte-identical to builds without it. Keep
-  // the window well under heartbeat_interval: heartbeats ride the batch
-  // too, and a window that swallows a whole beat delays failure detection.
+  // the window well under heartbeat_interval: the partitioned scheme's
+  // heartbeats ride the batch too (the global scheme's go out raw), and a
+  // window that swallows a whole beat delays failure detection.
   sim::Duration batch_window{};
   cc::TwoPhaseLocking::VictimPolicy victim_policy =
       cc::TwoPhaseLocking::VictimPolicy::kLowestPriority;

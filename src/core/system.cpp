@@ -49,6 +49,42 @@ workload::Assignment assignment_for(const SystemConfig& config) {
   return workload::Assignment::kSingleSite;
 }
 
+// Visitors over the ceiling-manager endpoints a site hosts (global and
+// partitioned schemes; none elsewhere): f(shard, endpoint) for every
+// non-null slot, in shard order.
+template <typename F>
+void for_each_manager(const System::Site& site, F f) {
+  for (std::uint32_t shard = 0; shard < site.shard_managers.size(); ++shard) {
+    if (site.shard_managers[shard] != nullptr) {
+      f(shard, *site.shard_managers[shard]);
+    }
+  }
+}
+
+template <typename F>
+void for_each_failover(const System::Site& site, F f) {
+  for (std::uint32_t shard = 0; shard < site.shard_failovers.size(); ++shard) {
+    if (site.shard_failovers[shard] != nullptr) {
+      f(shard, *site.shard_failovers[shard]);
+    }
+  }
+}
+
+// The site controller when it runs PCP itself (single-site and local
+// schemes), else nullptr.
+const cc::PriorityCeiling* local_pcp(const System::Site& site) {
+  return dynamic_cast<const cc::PriorityCeiling*>(site.cc.get());
+}
+
+// The per-site fold behind the total_*() counters: f(site) summed over
+// every site.
+template <typename F>
+auto sum_sites(const std::vector<System::Site>& sites, F f) {
+  decltype(f(sites.front())) total{};
+  for (const System::Site& site : sites) total += f(site);
+  return total;
+}
+
 }  // namespace
 
 const char* to_string(Protocol protocol) {
@@ -106,12 +142,10 @@ System::System(SystemConfig config)
     case DistScheme::kSingleSite:
       build_single_site();
       break;
-    case DistScheme::kGlobalCeiling:
-      build_global_ceiling();
-      break;
     case DistScheme::kLocalCeiling:
       build_local_ceiling();
       break;
+    case DistScheme::kGlobalCeiling:
     case DistScheme::kPartitionedCeiling:
       build_partitioned_ceiling();
       break;
@@ -128,8 +162,7 @@ System::System(SystemConfig config)
 
 System::~System() = default;
 
-System::Site System::make_site_base(net::SiteId id, db::Placement placement) {
-  (void)placement;
+System::Site System::make_site_base(net::SiteId id) {
   Site site;
   site.cpu = std::make_unique<sched::PreemptiveCpu>(
       kernel_, config_.cpus_per_site, "cpu-" + std::to_string(id));
@@ -142,7 +175,7 @@ System::Site System::make_site_base(net::SiteId id, db::Placement placement) {
 }
 
 void System::build_single_site() {
-  Site site = make_site_base(0, db::Placement::kSingleSite);
+  Site site = make_site_base(0);
   site.cc = make_controller(kernel_, config_.protocol, config_.db_objects,
                             config_.victim_policy,
                             config_.pcp_deadlock_backstop);
@@ -160,14 +193,77 @@ void System::build_single_site() {
   sites_.push_back(std::move(site));
 }
 
-void System::build_global_ceiling() {
+void System::build_local_ceiling() {
   network_ = std::make_unique<net::Network>(kernel_, config_.sites,
                                             config_.comm_delay);
-  constexpr net::SiteId kManagerSite = 0;
+  const bool faulty = config_.faults.active();
+  for (net::SiteId id = 0; id < config_.sites; ++id) {
+    Site site = make_site_base(id);
+    site.server = std::make_unique<net::MessageServer>(kernel_, *network_, id);
+    site.channel = std::make_unique<net::ReliableChannel>(
+        *site.server,
+        net::ReliableChannel::Options{faulty, config_.retransmit_max,
+                                      config_.backoff_base,
+                                      config_.backoff_max},
+        sim::RandomStream{config_.seed}.fork(kChannelStream + id));
+    site.replication = std::make_unique<dist::ReplicationManager>(
+        *site.server, *site.rm, site.channel.get());
+    site.recovery = std::make_unique<dist::RecoveryManager>(
+        *site.server, *site.rm,
+        dist::RecoveryManager::Options{
+            faulty ? 3 : 1,
+            faulty ? config_.heartbeat_interval * 2 : sim::Duration::zero()},
+        site.channel.get());
+    site.cc = std::make_unique<cc::PriorityCeiling>(
+        kernel_, config_.db_objects,
+        cc::PriorityCeiling::Options{false, config_.pcp_deadlock_backstop});
+    site.executor = std::make_unique<dist::ReplicatedExecutor>(
+        dist::ReplicatedExecutor::Services{
+            &kernel_, site.cpu.get(), site.rm.get(), site.cc.get(),
+            site.replication.get(), nullptr},
+        dist::ReplicatedExecutor::Costs{config_.cpu_per_object,
+                                        use_priority_scheduling()});
+    site.tm = std::make_unique<txn::TransactionManager>(
+        kernel_, *site.cc, *site.executor, monitor_,
+        txn::TransactionManager::Options{config_.restart_backoff,
+                                         config_.admission});
+    site.tm->connect_cpu(*site.cpu);
+    site.server->start();
+    sites_.push_back(std::move(site));
+  }
+}
+
+std::uint32_t System::effective_shards() const {
+  if (config_.scheme == DistScheme::kGlobalCeiling) return 1;
+  if (config_.scheme != DistScheme::kPartitionedCeiling) return 0;
+  if (config_.shards != 0) return std::min(config_.shards, config_.sites);
+  // Default: one shard per site, capped — past a handful of managers the
+  // control plane is spread thin enough and standby cost dominates.
+  return std::min(config_.sites, 8u);
+}
+
+std::function<std::uint32_t(db::ObjectId)> System::shard_fn() const {
+  return [objects = config_.db_objects, shards = effective_shards(),
+          partitioner = config_.partitioner](db::ObjectId object) {
+    return shard_of(object, objects, shards, partitioner);
+  };
+}
+
+// The global scheme is this layout at one shard: site 0 hosts its
+// initially active manager, and under failover every site hosts a standby
+// plus a coordinator. Its heartbeats stay raw: only the partitioned
+// scheme's coordinators ride the batch channel, since batching the global
+// scheme's beats would change its results (ext_scale_sweep's golden).
+void System::build_partitioned_ceiling() {
+  network_ = std::make_unique<net::Network>(kernel_, config_.sites,
+                                            config_.comm_delay);
+  const std::uint32_t shards = effective_shards();
   const bool faulty = config_.faults.active();
   const bool failover = faulty && config_.enable_failover;
+  const bool batch_heartbeats =
+      config_.scheme == DistScheme::kPartitionedCeiling;
   for (net::SiteId id = 0; id < config_.sites; ++id) {
-    Site site = make_site_base(id, schema_.placement());
+    Site site = make_site_base(id);
     site.server = std::make_unique<net::MessageServer>(kernel_, *network_, id);
     // Ceiling control messages, replica updates, and recovery sync rounds
     // ride the reliable channel. Fault-free it is disabled — a verbatim
@@ -205,8 +301,9 @@ void System::build_global_ceiling() {
           return coordinator->outcome(txn, epoch);
         });
     if (schema_.placement() == db::Placement::kFullyReplicated) {
-      // Replica catch-up after an outage (shared with the local scheme);
-      // under faults, silent sites are re-asked.
+      // Replica catch-up after an outage (the global scheme's default
+      // placement, shared with the local scheme); under faults, silent
+      // sites are re-asked.
       site.recovery = std::make_unique<dist::RecoveryManager>(
           *site.server, *site.rm,
           dist::RecoveryManager::Options{
@@ -217,151 +314,6 @@ void System::build_global_ceiling() {
     // Under faults an acquire RPC can die with the manager; the per-try
     // timeout re-issues it (at the new manager once failover completes).
     // The window covers detection plus one failover round.
-    const sim::Duration acquire_timeout =
-        faulty ? config_.heartbeat_interval *
-                     static_cast<std::int64_t>(
-                         config_.heartbeat_miss_threshold + 2)
-               : sim::Duration::zero();
-    auto client = std::make_unique<dist::GlobalCeilingClient>(
-        kernel_, *site.server, *site.rpc_client,
-        dist::GlobalCeilingClient::Options{kManagerSite, acquire_timeout},
-        site.channel.get());
-    client->set_batch(site.batch.get());
-    // Site 0 hosts the initially active manager; with failover every site
-    // hosts a standby instance the election can activate.
-    if (id == kManagerSite || failover) {
-      // Orphan reaping only under faults: a partition can outlast the
-      // retransmit budget of a dead transaction's teardown messages, and
-      // nothing else removes its mirror from a surviving manager.
-      site.manager = std::make_unique<dist::GlobalCeilingManager>(
-          *site.server, *site.rpc_dispatcher, config_.db_objects,
-          id == kManagerSite, faulty);
-    }
-    if (failover) {
-      site.failover = std::make_unique<dist::FailoverCoordinator>(
-          *site.server,
-          dist::FailoverCoordinator::Options{
-              config_.heartbeat_interval, config_.heartbeat_miss_threshold,
-              kManagerSite, config_.sites, config_.lease_interval},
-          dist::FailoverCoordinator::Hooks{
-              [manager = site.manager.get()](std::uint64_t term) {
-                manager->activate(term);
-              },
-              [manager = site.manager.get()] { manager->deactivate(); },
-              [manager = site.manager.get()](bool fenced) {
-                manager->set_fenced(fenced);
-              },
-              [client = client.get()](net::SiteId manager,
-                                      std::uint64_t term) {
-                client->set_manager(manager, term);
-              },
-              [this] { return !drained(); }});
-    }
-    site.executor = std::make_unique<dist::GlobalExecutor>(
-        dist::GlobalExecutor::Services{
-            &kernel_, site.cpu.get(), site.rm.get(), &schema_, client.get(),
-            site.server.get(), site.rpc_client.get(), site.coordinator.get(),
-            config_.record_history ? &history_ : nullptr},
-        dist::GlobalExecutor::Costs{config_.cpu_per_object,
-                                    use_priority_scheduling(),
-                                    config_.commit_vote_timeout});
-    site.cc = std::move(client);
-    site.tm = std::make_unique<txn::TransactionManager>(
-        kernel_, *site.cc, *site.executor, monitor_,
-        txn::TransactionManager::Options{config_.restart_backoff,
-                                         config_.admission});
-    site.tm->connect_cpu(*site.cpu);
-    site.server->start();
-    sites_.push_back(std::move(site));
-  }
-}
-
-void System::build_local_ceiling() {
-  network_ = std::make_unique<net::Network>(kernel_, config_.sites,
-                                            config_.comm_delay);
-  const bool faulty = config_.faults.active();
-  for (net::SiteId id = 0; id < config_.sites; ++id) {
-    Site site = make_site_base(id, db::Placement::kFullyReplicated);
-    site.server = std::make_unique<net::MessageServer>(kernel_, *network_, id);
-    site.channel = std::make_unique<net::ReliableChannel>(
-        *site.server,
-        net::ReliableChannel::Options{faulty, config_.retransmit_max,
-                                      config_.backoff_base,
-                                      config_.backoff_max},
-        sim::RandomStream{config_.seed}.fork(kChannelStream + id));
-    site.replication = std::make_unique<dist::ReplicationManager>(
-        *site.server, *site.rm, site.channel.get());
-    site.recovery = std::make_unique<dist::RecoveryManager>(
-        *site.server, *site.rm,
-        dist::RecoveryManager::Options{
-            faulty ? 3 : 1,
-            faulty ? config_.heartbeat_interval * 2 : sim::Duration::zero()},
-        site.channel.get());
-    site.cc = std::make_unique<cc::PriorityCeiling>(
-        kernel_, config_.db_objects,
-        cc::PriorityCeiling::Options{false, config_.pcp_deadlock_backstop});
-    site.executor = std::make_unique<dist::ReplicatedExecutor>(
-        dist::ReplicatedExecutor::Services{
-            &kernel_, site.cpu.get(), site.rm.get(), site.cc.get(),
-            site.replication.get(), nullptr},
-        dist::ReplicatedExecutor::Costs{config_.cpu_per_object,
-                                        use_priority_scheduling()});
-    site.tm = std::make_unique<txn::TransactionManager>(
-        kernel_, *site.cc, *site.executor, monitor_,
-        txn::TransactionManager::Options{config_.restart_backoff,
-                                         config_.admission});
-    site.tm->connect_cpu(*site.cpu);
-    site.server->start();
-    sites_.push_back(std::move(site));
-  }
-}
-
-std::uint32_t System::effective_shards() const {
-  if (config_.scheme != DistScheme::kPartitionedCeiling) return 0;
-  if (config_.shards != 0) return std::min(config_.shards, config_.sites);
-  // Default: one shard per site, capped — past a handful of managers the
-  // control plane is spread thin enough and standby cost dominates.
-  return std::min(config_.sites, 8u);
-}
-
-std::function<std::uint32_t(db::ObjectId)> System::shard_fn() const {
-  return [objects = config_.db_objects, shards = effective_shards(),
-          partitioner = config_.partitioner](db::ObjectId object) {
-    return shard_of(object, objects, shards, partitioner);
-  };
-}
-
-void System::build_partitioned_ceiling() {
-  network_ = std::make_unique<net::Network>(kernel_, config_.sites,
-                                            config_.comm_delay);
-  const std::uint32_t shards = effective_shards();
-  const bool faulty = config_.faults.active();
-  const bool failover = faulty && config_.enable_failover;
-  for (net::SiteId id = 0; id < config_.sites; ++id) {
-    Site site = make_site_base(id, schema_.placement());
-    site.server = std::make_unique<net::MessageServer>(kernel_, *network_, id);
-    site.channel = std::make_unique<net::ReliableChannel>(
-        *site.server,
-        net::ReliableChannel::Options{faulty, config_.retransmit_max,
-                                      config_.backoff_base,
-                                      config_.backoff_max},
-        sim::RandomStream{config_.seed}.fork(kChannelStream + id));
-    site.batch = std::make_unique<net::BatchChannel>(
-        *site.server, site.channel.get(),
-        net::BatchChannel::Options{config_.batch_window});
-    site.rpc_client = std::make_unique<net::RpcClient>(*site.server);
-    site.rpc_dispatcher = std::make_unique<net::RpcDispatcher>(*site.server);
-    const sim::Duration decision_timeout =
-        faulty ? config_.commit_vote_timeout * 2 : sim::Duration::zero();
-    site.data_server = std::make_unique<dist::DataServer>(
-        *site.server, *site.rpc_dispatcher, *site.rm,
-        txn::CommitParticipant::Options{decision_timeout, faulty});
-    site.coordinator = std::make_unique<txn::CommitCoordinator>(*site.server);
-    site.data_server->participant().set_outcome_source(
-        [coordinator = site.coordinator.get()](std::uint64_t txn,
-                                               std::uint64_t epoch) {
-          return coordinator->outcome(txn, epoch);
-        });
     const sim::Duration acquire_timeout =
         faulty ? config_.heartbeat_interval *
                      static_cast<std::int64_t>(
@@ -383,10 +335,12 @@ void System::build_partitioned_ceiling() {
       // under failover every site hosts a standby per shard.
       const bool host = id == shard;
       if (host || failover) {
+        // Orphan reaping only under faults: a partition can outlast the
+        // retransmit budget of a dead transaction's teardown messages, and
+        // nothing else removes its mirror from a surviving manager.
         site.shard_managers[shard] =
             std::make_unique<dist::GlobalCeilingManager>(
-                dist::GlobalCeilingManager::Routed{}, *site.server,
-                config_.db_objects, host, faulty);
+                *site.server, config_.db_objects, host, faulty);
         site.router->set_manager(shard, site.shard_managers[shard].get());
       }
       if (failover) {
@@ -398,8 +352,7 @@ void System::build_partitioned_ceiling() {
                     config_.heartbeat_interval,
                     config_.heartbeat_miss_threshold,
                     /*initial_manager=*/shard, config_.sites,
-                    config_.lease_interval, shard,
-                    /*register_handlers=*/false},
+                    config_.lease_interval, shard},
                 dist::FailoverCoordinator::Hooks{
                     [manager = site.shard_managers[shard].get()](
                         std::uint64_t term) { manager->activate(term); },
@@ -414,7 +367,9 @@ void System::build_partitioned_ceiling() {
                       client->set_manager(shard, manager, term);
                     },
                     [this] { return !drained(); }});
-        site.shard_failovers[shard]->set_batch(site.batch.get());
+        if (batch_heartbeats) {
+          site.shard_failovers[shard]->set_batch(site.batch.get());
+        }
         site.router->set_failover(shard, site.shard_failovers[shard].get());
       }
     }
@@ -450,7 +405,7 @@ void System::attach_conformance() {
   // The per-site controllers audit by protocol. Under the global and
   // partitioned schemes the site controller is the remote ceiling client
   // (structural checks only — the blockers are at the manager); the
-  // manager's own protocol instance gets the full ceiling audit below.
+  // managers' own protocol instances get the full ceiling audit below.
   const bool remote_client = config_.scheme == DistScheme::kGlobalCeiling ||
                              config_.scheme == DistScheme::kPartitionedCeiling;
   for (Site& site : sites_) {
@@ -460,24 +415,16 @@ void System::attach_conformance() {
       attach_audit(*conformance_, *site.cc, config_.protocol);
     }
     // Every (standby) manager audits as a full ceiling protocol — adoption
-    // after failover included.
-    if (site.manager != nullptr) {
-      conformance_->attach(site.manager->protocol(),
-                           check::ProtocolFamily::kCeiling);
-    }
-    // Shard managers additionally audit grant scope: a manager granting an
+    // after failover included — plus grant scope: a manager granting an
     // object its shard does not own is a routing/config bug the ordinary
     // ceiling rules cannot see.
-    for (std::uint32_t shard = 0; shard < site.shard_managers.size();
-         ++shard) {
-      if (site.shard_managers[shard] == nullptr) continue;
+    for_each_manager(site, [&](std::uint32_t shard, auto& manager) {
       conformance_->attach_sharded(
-          site.shard_managers[shard]->protocol(),
-          check::ProtocolFamily::kCeiling, shard,
+          manager.protocol(), check::ProtocolFamily::kCeiling, shard,
           [shard, fn = shard_fn()](db::ObjectId object) {
             return fn(object) == shard;
           });
-    }
+    });
     if (site.coordinator != nullptr) {
       site.coordinator->set_observer(conformance_->commit_observer());
     }
@@ -485,35 +432,21 @@ void System::attach_conformance() {
       site.data_server->participant().set_observer(
           conformance_->commit_observer());
     }
-    // Lease audit: coordinators report term adoptions and lease
-    // acquisitions/releases, managers the term stamped on each grant, and
-    // clients the term of each grant they act on. Only meaningful when the
-    // failover machinery is built — without it no lease is ever acquired
-    // and every grant would read as fenceless.
-    if (site.failover != nullptr) {
-      site.failover->set_observer(conformance_->lease_observer());
-      if (site.manager != nullptr) {
-        site.manager->set_lease_observer(conformance_->lease_observer());
-      }
-      if (auto* gcc = dynamic_cast<dist::GlobalCeilingClient*>(site.cc.get())) {
-        gcc->set_lease_observer(conformance_->lease_observer());
-      }
-    }
-    // Per-shard lease audits: every shard's election is an independent term
-    // space, so each gets its own single-holder audit instance.
-    for (std::uint32_t shard = 0; shard < site.shard_failovers.size();
-         ++shard) {
-      if (site.shard_failovers[shard] == nullptr) continue;
+    // Lease audit, one instance per shard (every shard's election is an
+    // independent term space): coordinators report term adoptions and
+    // lease acquisitions/releases, managers the term stamped on each
+    // grant, and clients the term of each grant they act on. Only
+    // meaningful when the failover machinery is built — without it no
+    // lease is ever acquired and every grant would read as fenceless.
+    auto* client = dynamic_cast<dist::PartitionedCeilingClient*>(site.cc.get());
+    for_each_failover(site, [&](std::uint32_t shard, auto& failover) {
       dist::LeaseObserver* observer = conformance_->lease_observer(shard);
-      site.shard_failovers[shard]->set_observer(observer);
+      failover.set_observer(observer);
       if (site.shard_managers[shard] != nullptr) {
         site.shard_managers[shard]->set_lease_observer(observer);
       }
-      if (auto* pcc =
-              dynamic_cast<dist::PartitionedCeilingClient*>(site.cc.get())) {
-        pcc->set_lease_observer(shard, observer);
-      }
-    }
+      if (client != nullptr) client->set_lease_observer(shard, observer);
+    });
   }
 }
 
@@ -567,23 +500,17 @@ void System::crash_site(net::SiteId site) {
   if (s.channel != nullptr) s.channel->on_crash();
   if (s.batch != nullptr) s.batch->on_crash();
   if (s.data_server != nullptr) s.data_server->on_crash();
-  if (s.failover != nullptr) s.failover->on_crash();
-  if (s.manager != nullptr) s.manager->on_crash();
-  for (auto& failover : s.shard_failovers) {
-    if (failover != nullptr) failover->on_crash();
-  }
-  for (auto& manager : s.shard_managers) {
-    if (manager != nullptr) manager->on_crash();
-  }
+  for_each_failover(s,
+                    [](std::uint32_t, auto& failover) { failover.on_crash(); });
+  for_each_manager(s, [](std::uint32_t, auto& manager) { manager.on_crash(); });
   s.tm->crash();
-  // Idealized instantaneous failure detection at the lock manager: free
+  // Idealized instantaneous failure detection at the lock managers: free
   // whatever the dead site's transactions held so survivors are not
   // blocked behind a corpse. (Standby managers hold no mirrors — no-op.)
-  for (Site& other : sites_) {
-    if (other.manager != nullptr) other.manager->abort_site(site);
-    for (auto& manager : other.shard_managers) {
-      if (manager != nullptr) manager->abort_site(site);
-    }
+  for (const Site& other : sites_) {
+    for_each_manager(other, [site](std::uint32_t, auto& manager) {
+      manager.abort_site(site);
+    });
   }
 }
 
@@ -594,10 +521,9 @@ void System::restore_site(net::SiteId site) {
   Site& s = sites_[site];
   if (s.server != nullptr) s.server->start();
   s.tm->restore();
-  if (s.failover != nullptr) s.failover->on_restore();
-  for (auto& failover : s.shard_failovers) {
-    if (failover != nullptr) failover->on_restore();
-  }
+  for_each_failover(s, [](std::uint32_t, auto& failover) {
+    failover.on_restore();
+  });
   if (s.recovery != nullptr) s.recovery->request_catch_up();
 }
 
@@ -610,11 +536,9 @@ void System::start() {
   if (started_) return;
   started_ = true;
   generator_->start();
-  for (Site& site : sites_) {
-    if (site.failover != nullptr) site.failover->start();
-    for (auto& failover : site.shard_failovers) {
-      if (failover != nullptr) failover->start();
-    }
+  for (const Site& site : sites_) {
+    for_each_failover(site,
+                      [](std::uint32_t, auto& failover) { failover.start(); });
   }
 }
 
@@ -639,163 +563,123 @@ stats::Metrics System::metrics() const {
 }
 
 std::uint64_t System::total_restarts() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) n += site.tm->restarts();
-  return n;
+  return sum_sites(sites_, [](const Site& s) { return s.tm->restarts(); });
 }
 
 std::uint64_t System::total_deadline_kills() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) n += site.tm->deadline_kills();
-  return n;
+  return sum_sites(sites_,
+                   [](const Site& s) { return s.tm->deadline_kills(); });
 }
 
 std::uint64_t System::total_protocol_aborts() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) {
-    n += site.cc->protocol_aborts();
-    if (site.manager != nullptr) {
-      n += site.manager->protocol().protocol_aborts();
-    }
-    for (const auto& manager : site.shard_managers) {
-      if (manager != nullptr) n += manager->protocol().protocol_aborts();
-    }
-  }
-  return n;
+  return sum_sites(sites_, [](const Site& s) {
+    std::uint64_t n = s.cc->protocol_aborts();
+    for_each_manager(s, [&n](std::uint32_t, const auto& m) {
+      n += m.protocol().protocol_aborts();
+    });
+    return n;
+  });
 }
 
 std::uint64_t System::total_ceiling_denials() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) {
-    if (const auto* pcp = dynamic_cast<const cc::PriorityCeiling*>(site.cc.get())) {
-      n += pcp->ceiling_denials();
-    }
-    if (site.manager != nullptr) {
-      n += site.manager->protocol().ceiling_denials();
-    }
-    for (const auto& manager : site.shard_managers) {
-      if (manager != nullptr) n += manager->protocol().ceiling_denials();
-    }
-  }
-  return n;
+  return sum_sites(sites_, [](const Site& s) {
+    const cc::PriorityCeiling* pcp = local_pcp(s);
+    std::uint64_t n = pcp != nullptr ? pcp->ceiling_denials() : 0;
+    for_each_manager(s, [&n](std::uint32_t, const auto& m) {
+      n += m.protocol().ceiling_denials();
+    });
+    return n;
+  });
 }
 
 std::uint64_t System::total_dynamic_deadlocks() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) {
-    if (const auto* pcp = dynamic_cast<const cc::PriorityCeiling*>(site.cc.get())) {
-      n += pcp->dynamic_deadlocks();
-    }
-    if (site.manager != nullptr) {
-      n += site.manager->protocol().dynamic_deadlocks();
-    }
-    for (const auto& manager : site.shard_managers) {
-      if (manager != nullptr) n += manager->protocol().dynamic_deadlocks();
-    }
-  }
-  return n;
+  return sum_sites(sites_, [](const Site& s) {
+    const cc::PriorityCeiling* pcp = local_pcp(s);
+    std::uint64_t n = pcp != nullptr ? pcp->dynamic_deadlocks() : 0;
+    for_each_manager(s, [&n](std::uint32_t, const auto& m) {
+      n += m.protocol().dynamic_deadlocks();
+    });
+    return n;
+  });
 }
 
 std::uint64_t System::total_crash_kills() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) n += site.tm->crash_kills();
-  return n;
+  return sum_sites(sites_, [](const Site& s) { return s.tm->crash_kills(); });
 }
 
 std::uint64_t System::total_commit_rounds() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) {
-    if (site.coordinator != nullptr) n += site.coordinator->rounds();
-  }
-  return n;
+  return sum_sites(sites_, [](const Site& s) {
+    return s.coordinator != nullptr ? s.coordinator->rounds() : 0;
+  });
 }
 
 std::uint64_t System::total_commit_aborts() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) {
-    if (site.coordinator != nullptr) n += site.coordinator->aborts();
-  }
-  return n;
+  return sum_sites(sites_, [](const Site& s) {
+    return s.coordinator != nullptr ? s.coordinator->aborts() : 0;
+  });
 }
 
 std::uint64_t System::total_vote_timeouts() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) {
-    if (site.coordinator != nullptr) n += site.coordinator->vote_timeouts();
-  }
-  return n;
+  return sum_sites(sites_, [](const Site& s) {
+    return s.coordinator != nullptr ? s.coordinator->vote_timeouts() : 0;
+  });
 }
 
 std::uint64_t System::total_presumed_aborts() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) {
-    if (site.data_server != nullptr) n += site.data_server->presumed_aborts();
-  }
-  return n;
+  return sum_sites(sites_, [](const Site& s) {
+    return s.data_server != nullptr ? s.data_server->presumed_aborts() : 0;
+  });
 }
 
 std::uint64_t System::total_versions_recovered() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) {
-    if (site.recovery != nullptr) n += site.recovery->versions_recovered();
-  }
-  return n;
+  return sum_sites(sites_, [](const Site& s) {
+    return s.recovery != nullptr ? s.recovery->versions_recovered() : 0;
+  });
 }
 
 std::uint64_t System::total_retransmissions() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) {
-    if (site.channel != nullptr) n += site.channel->retransmissions();
-  }
-  return n;
+  return sum_sites(sites_, [](const Site& s) {
+    return s.channel != nullptr ? s.channel->retransmissions() : 0;
+  });
 }
 
 sim::Duration System::total_backoff_wait() const {
-  sim::Duration total{};
-  for (const Site& site : sites_) {
-    if (site.channel != nullptr) total += site.channel->backoff_wait();
-  }
-  return total;
+  return sum_sites(sites_, [](const Site& s) {
+    return s.channel != nullptr ? s.channel->backoff_wait() : sim::Duration{};
+  });
 }
 
 std::uint64_t System::total_failovers() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) {
-    if (site.failover != nullptr) n += site.failover->promotions();
-    for (const auto& failover : site.shard_failovers) {
-      if (failover != nullptr) n += failover->promotions();
-    }
-  }
-  return n;
+  return sum_sites(sites_, [](const Site& s) {
+    std::uint64_t n = 0;
+    for_each_failover(s, [&n](std::uint32_t, const auto& f) {
+      n += f.promotions();
+    });
+    return n;
+  });
 }
 
 std::uint64_t System::total_termination_queries() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) {
-    if (site.data_server != nullptr) n += site.data_server->termination_queries();
-  }
-  return n;
+  return sum_sites(sites_, [](const Site& s) {
+    return s.data_server != nullptr ? s.data_server->termination_queries() : 0;
+  });
 }
 
 std::uint64_t System::total_termination_resolutions() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) {
-    if (site.data_server != nullptr) {
-      n += site.data_server->termination_resolutions();
-    }
-  }
-  return n;
+  return sum_sites(sites_, [](const Site& s) {
+    return s.data_server != nullptr ? s.data_server->termination_resolutions()
+                                    : 0;
+  });
 }
 
 std::uint64_t System::total_orphan_locks_reclaimed() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) {
-    if (site.manager != nullptr) n += site.manager->orphan_locks_reclaimed();
-    for (const auto& manager : site.shard_managers) {
-      if (manager != nullptr) n += manager->orphan_locks_reclaimed();
-    }
-  }
-  return n;
+  return sum_sites(sites_, [](const Site& s) {
+    std::uint64_t n = 0;
+    for_each_manager(s, [&n](std::uint32_t, const auto& m) {
+      n += m.orphan_locks_reclaimed();
+    });
+    return n;
+  });
 }
 
 std::uint64_t System::total_partition_drops() const {
@@ -803,79 +687,57 @@ std::uint64_t System::total_partition_drops() const {
 }
 
 std::uint64_t System::total_lease_expiries() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) {
-    if (site.failover != nullptr) n += site.failover->lease_expiries();
-    for (const auto& failover : site.shard_failovers) {
-      if (failover != nullptr) n += failover->lease_expiries();
-    }
-  }
-  return n;
+  return sum_sites(sites_, [](const Site& s) {
+    std::uint64_t n = 0;
+    for_each_failover(s, [&n](std::uint32_t, const auto& f) {
+      n += f.lease_expiries();
+    });
+    return n;
+  });
 }
 
 std::uint64_t System::total_fence_denials() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) {
-    if (site.manager != nullptr) n += site.manager->fence_denials();
-    for (const auto& manager : site.shard_managers) {
-      if (manager != nullptr) n += manager->fence_denials();
-    }
-  }
-  return n;
+  return sum_sites(sites_, [](const Site& s) {
+    std::uint64_t n = 0;
+    for_each_manager(s, [&n](std::uint32_t, const auto& m) {
+      n += m.fence_denials();
+    });
+    return n;
+  });
 }
 
 std::uint64_t System::total_stale_grants_rejected() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) {
-    if (const auto* client =
-            dynamic_cast<const dist::GlobalCeilingClient*>(site.cc.get())) {
-      n += client->stale_grants_rejected();
-    }
-    if (const auto* client =
-            dynamic_cast<const dist::PartitionedCeilingClient*>(
-                site.cc.get())) {
-      n += client->stale_grants_rejected();
-    }
-  }
-  return n;
+  return sum_sites(sites_, [](const Site& s) {
+    const auto* client =
+        dynamic_cast<const dist::PartitionedCeilingClient*>(s.cc.get());
+    return client != nullptr ? client->stale_grants_rejected() : 0;
+  });
 }
 
 std::uint64_t System::total_batched_messages() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) {
-    if (site.batch != nullptr) n += site.batch->batched_messages();
-  }
-  return n;
+  return sum_sites(sites_, [](const Site& s) {
+    return s.batch != nullptr ? s.batch->batched_messages() : 0;
+  });
 }
 
 std::uint64_t System::total_batch_flushes() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) {
-    if (site.batch != nullptr) n += site.batch->batch_flushes();
-  }
-  return n;
+  return sum_sites(sites_, [](const Site& s) {
+    return s.batch != nullptr ? s.batch->batch_flushes() : 0;
+  });
 }
 
 std::uint64_t System::total_shard_migrations() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) {
-    for (const auto& failover : site.shard_failovers) {
-      if (failover != nullptr) n += failover->promotions();
-    }
-  }
-  return n;
+  // A global-scheme promotion is a failover, never a shard migration.
+  if (config_.scheme != DistScheme::kPartitionedCeiling) return 0;
+  return total_failovers();
 }
 
 std::uint64_t System::total_admitted() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) n += site.tm->admitted();
-  return n;
+  return sum_sites(sites_, [](const Site& s) { return s.tm->admitted(); });
 }
 
 std::uint64_t System::total_shed() const {
-  std::uint64_t n = 0;
-  for (const Site& site : sites_) n += site.tm->shed();
-  return n;
+  return sum_sites(sites_, [](const Site& s) { return s.tm->shed(); });
 }
 
 std::uint64_t System::invariant_violations(std::string* why) const {
@@ -891,31 +753,18 @@ std::uint64_t System::invariant_violations(std::string* why) const {
       fail("site " + std::to_string(id) + " controller not quiescent: " +
            reason);
     }
-    if (site.manager != nullptr) {
-      if (site.manager->live_mirrors() != 0) {
-        fail("site " + std::to_string(id) + " manager holds " +
-             std::to_string(site.manager->live_mirrors()) + " live mirrors");
-      }
-      reason.clear();
-      if (!site.manager->protocol().quiescent(&reason)) {
-        fail("site " + std::to_string(id) +
-             " manager protocol not quiescent: " + reason);
-      }
-    }
-    for (std::size_t shard = 0; shard < site.shard_managers.size(); ++shard) {
-      const auto& manager = site.shard_managers[shard];
-      if (manager == nullptr) continue;
-      if (manager->live_mirrors() != 0) {
-        fail("site " + std::to_string(id) + " shard " + std::to_string(shard) +
-             " manager holds " + std::to_string(manager->live_mirrors()) +
+    for_each_manager(site, [&](std::uint32_t shard, const auto& manager) {
+      const std::string where = "site " + std::to_string(id) + " shard " +
+                                std::to_string(shard) + " manager ";
+      if (manager.live_mirrors() != 0) {
+        fail(where + "holds " + std::to_string(manager.live_mirrors()) +
              " live mirrors");
       }
       reason.clear();
-      if (!manager->protocol().quiescent(&reason)) {
-        fail("site " + std::to_string(id) + " shard " + std::to_string(shard) +
-             " manager protocol not quiescent: " + reason);
+      if (!manager.protocol().quiescent(&reason)) {
+        fail(where + "protocol not quiescent: " + reason);
       }
-    }
+    });
   }
   if (config_.record_history) {
     std::string reason;

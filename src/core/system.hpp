@@ -87,13 +87,14 @@ class System {
     std::unique_ptr<dist::ReplicationManager> replication;
     std::unique_ptr<dist::RecoveryManager> recovery;
     std::unique_ptr<dist::DataServer> data_server;
-    // Global scheme: site 0 hosts the initially active ceiling manager;
-    // under failover every site hosts a standby one plus a coordinator.
+    // Always null: every ceiling manager lives in shard_managers. Still
+    // declared only because perfbench/src/workloads.cpp reads it.
     std::unique_ptr<dist::GlobalCeilingManager> manager;
-    std::unique_ptr<dist::FailoverCoordinator> failover;
-    // Partitioned scheme: the per-site demultiplexer plus one (standby)
-    // manager and failover coordinator per shard. Indexed by shard; null
-    // where this site hosts no endpoint for the shard.
+    // Global and partitioned schemes: the per-site demultiplexer plus one
+    // (standby) manager and failover coordinator per shard. Indexed by
+    // shard; null where this site hosts no endpoint for the shard. The
+    // global scheme is the one-shard layout: shard 0's manager starts at
+    // site 0.
     std::unique_ptr<dist::ShardRouter> router;
     std::vector<std::unique_ptr<dist::GlobalCeilingManager>> shard_managers;
     std::vector<std::unique_ptr<dist::FailoverCoordinator>> shard_failovers;
@@ -106,11 +107,6 @@ class System {
     return static_cast<std::uint32_t>(sites_.size());
   }
   net::Network* network() { return network_.get(); }
-  // The initially elected manager (site 0's instance). After a failover the
-  // authoritative state lives at site(failover target).manager.
-  const dist::GlobalCeilingManager* global_manager() const {
-    return sites_.empty() ? nullptr : sites_[0].manager.get();
-  }
   const workload::TransactionGenerator& generator() const {
     return *generator_;
   }
@@ -118,7 +114,7 @@ class System {
   // ---- fault injection (config_.faults drives these automatically) ----
   // Fail-stop outage of one site: network down both directions, dispatcher
   // stopped, queued inbox lost, staged write sets lost, running attempts
-  // killed; the global lock manager aborts the site's transactions
+  // killed; every ceiling manager aborts the site's transactions
   // (idealized instantaneous failure detection). Idempotent while down.
   void crash_site(net::SiteId site);
   // Brings the site back: network up, dispatcher restarted, queued and
@@ -157,14 +153,15 @@ class System {
   std::uint64_t total_shed() const;
   // Batching counters (0 with batch_window zero, where the channel is a
   // passthrough) and shard-manager migrations (elections moving a shard's
-  // manager off its initial site; 0 outside the partitioned scheme).
+  // manager off its initial site; 0 outside the partitioned scheme — a
+  // global-scheme promotion counts in total_failovers only).
   std::uint64_t total_batched_messages() const;
   std::uint64_t total_batch_flushes() const;
   std::uint64_t total_shard_migrations() const;
 
-  // Partitioned scheme: ceiling-manager shards actually built (0 for the
-  // other schemes). config.shards clamped to the site count, default one
-  // per site capped at 8.
+  // Ceiling-manager shards actually built: under the partitioned scheme
+  // config.shards clamped to the site count (default one per site capped
+  // at 8), one under the global scheme, 0 otherwise.
   std::uint32_t effective_shards() const;
 
   // Post-run invariant audit: every controller quiescent (no live
@@ -176,14 +173,14 @@ class System {
 
  private:
   void build_single_site();
-  void build_global_ceiling();
   void build_local_ceiling();
+  // Global and partitioned schemes (the global one at one shard).
   void build_partitioned_ceiling();
   // Object -> shard map bound to this run's config.
   std::function<std::uint32_t(db::ObjectId)> shard_fn() const;
   void attach_conformance();
   void schedule_faults();
-  Site make_site_base(net::SiteId id, db::Placement placement);
+  Site make_site_base(net::SiteId id);
   bool use_priority_scheduling() const {
     return config_.protocol != Protocol::kTwoPhase;
   }

@@ -18,13 +18,6 @@ FailoverCoordinator::FailoverCoordinator(net::MessageServer& server,
                                     options.miss_threshold,
                                     options.lease_interval}) {
   assert(options_.site_count > 0);
-  if (!options_.register_handlers) return;  // routed mode: deliver_view
-  server_.on<HeartbeatMsg>([this](SiteId from, HeartbeatMsg msg) {
-    handle_view(from, msg.term, msg.manager);
-  });
-  server_.on<ManagerElectedMsg>([this](SiteId from, ManagerElectedMsg msg) {
-    handle_view(from, msg.term, msg.manager);
-  });
 }
 
 void FailoverCoordinator::start() {
@@ -60,12 +53,9 @@ void FailoverCoordinator::on_restore() {
 }
 
 std::string FailoverCoordinator::loop_name() const {
-  std::string name = "failover-" + std::to_string(server_.site());
-  // Routed (per-shard) coordinators share a site; disambiguate traces.
-  if (!options_.register_handlers) {
-    name += "-s" + std::to_string(options_.shard);
-  }
-  return name;
+  // Per-shard coordinators share a site; disambiguate traces.
+  return "failover-" + std::to_string(server_.site()) + "-s" +
+         std::to_string(options_.shard);
 }
 
 sim::Task<void> FailoverCoordinator::beat_loop() {

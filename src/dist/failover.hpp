@@ -13,15 +13,16 @@
 
 namespace rtdb::dist {
 
-// Periodic liveness beacon; every site broadcasts one per interval. It
-// carries the sender's view of the election so a site that missed the
-// (unreliable, once-off) ManagerElectedMsg converges on the next beat.
+// Periodic liveness beacon; every site broadcasts one per interval and
+// shard. It carries the sender's view of the election so a site that
+// missed the (unreliable, once-off) ManagerElectedMsg converges on the
+// next beat.
 struct HeartbeatMsg {
   std::uint64_t term = 0;
   net::SiteId manager = 0;
-  // Which shard's election this beat speaks for (partitioned scheme; the
-  // global scheme always sends 0). Last so positional initializers keep
-  // their meaning.
+  // Which shard's election this beat speaks for; the site's ShardRouter
+  // demultiplexes on it (the global scheme's one shard is 0). Last so
+  // positional initializers keep their meaning.
   std::uint32_t shard = 0;
 };
 // Announced once by a site that promoted itself; heartbeats repair losses.
@@ -31,8 +32,8 @@ struct ManagerElectedMsg {
   std::uint32_t shard = 0;
 };
 
-// Deterministic ceiling-manager failover: every site runs one of these,
-// exchanging heartbeats. The election + lease decisions live in the
+// Deterministic ceiling-manager failover: every site runs one of these per
+// shard, exchanging heartbeats. The election + lease decisions live in the
 // substrate-free ElectionState (see dist/election.hpp for the
 // fence-before-election safety argument); this class supplies the sim
 // transport and timers and translates decision events into hooks.
@@ -57,13 +58,10 @@ class FailoverCoordinator {
     // Lease validity window; zero derives heartbeat_interval *
     // (miss_threshold - 1). See ElectionState::Options.
     sim::Duration lease_interval{};
-    // Partitioned scheme: the shard whose manager this coordinator
-    // elects. Stamped into outgoing heartbeats/announcements so the
-    // per-site ShardRouter can demultiplex.
+    // The shard whose manager this coordinator elects. Stamped into
+    // outgoing heartbeats/announcements so the per-site ShardRouter can
+    // demultiplex; the coordinator registers no handlers of its own.
     std::uint32_t shard = 0;
-    // False = routed mode: the coordinator registers NO handlers (the
-    // ShardRouter owns the per-type slots and calls deliver_view).
-    bool register_handlers = true;
   };
   struct Hooks {
     // This site became / stopped being the manager; promote carries the
@@ -101,15 +99,13 @@ class FailoverCoordinator {
   // Conformance audit tap (optional; may be null).
   void set_observer(LeaseObserver* observer) { observer_ = observer; }
   // Coalesce heartbeats/announcements through the site's BatchChannel
-  // (fire-and-forget pathway, so they stay loss-tolerant). May be null.
+  // (fire-and-forget pathway, so they stay loss-tolerant). May be null:
+  // the global scheme's beats go out raw.
   void set_batch(net::BatchChannel* batch) { batch_ = batch; }
 
-  // Routed mode: the ShardRouter feeds election views (heartbeats and
-  // elected announcements) for this coordinator's shard through here.
-  void deliver_view(net::SiteId from, std::uint64_t term,
-                    net::SiteId manager) {
-    handle_view(from, term, manager);
-  }
+  // The ShardRouter feeds election views (heartbeats and elected
+  // announcements) for this coordinator's shard through here.
+  void handle_view(net::SiteId from, std::uint64_t term, net::SiteId manager);
 
   net::SiteId manager() const { return state_.manager(); }
   std::uint64_t term() const { return state_.term(); }
@@ -122,7 +118,6 @@ class FailoverCoordinator {
  private:
   sim::Task<void> beat_loop();
   std::string loop_name() const;
-  void handle_view(net::SiteId from, std::uint64_t term, net::SiteId manager);
   void apply_tick_event(ElectionState::Event event);
   void broadcast_elected();
 

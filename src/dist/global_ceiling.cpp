@@ -10,41 +10,12 @@ using net::SiteId;
 // ---- GlobalCeilingManager ----
 
 GlobalCeilingManager::GlobalCeilingManager(net::MessageServer& server,
-                                           net::RpcDispatcher& rpc,
                                            std::uint32_t object_count,
                                            bool active, bool reap_orphans)
     : server_(server),
       pcp_(server.kernel(), object_count),
       active_(active),
       reap_orphans_(reap_orphans) {
-  install_hooks();
-  server_.on<RegisterTxnMsg>([this](SiteId from, RegisterTxnMsg message) {
-    handle_register(from, std::move(message));
-  });
-  server_.on<ReleaseAllMsg>([this](SiteId /*from*/, ReleaseAllMsg message) {
-    handle_release(message);
-  });
-  server_.on<EndTxnMsg>([this](SiteId /*from*/, EndTxnMsg message) {
-    handle_end(message);
-  });
-  rpc.on<AcquireReq>([this](SiteId /*from*/, AcquireReq request,
-                            net::RpcServer::Responder respond) {
-    handle_acquire(std::move(request), std::move(respond));
-  });
-}
-
-GlobalCeilingManager::GlobalCeilingManager(Routed, net::MessageServer& server,
-                                           std::uint32_t object_count,
-                                           bool active, bool reap_orphans)
-    : server_(server),
-      pcp_(server.kernel(), object_count),
-      active_(active),
-      reap_orphans_(reap_orphans) {
-  install_hooks();
-  // No handler registration: the ShardRouter owns the per-type slots.
-}
-
-void GlobalCeilingManager::install_hooks() {
   pcp_.set_hooks(cc::ControllerHooks{
       [this](db::TxnId victim, cc::AbortReason reason) {
         abort_mirror(victim, reason);
@@ -138,7 +109,6 @@ void GlobalCeilingManager::reap_orphan(std::uint64_t txn,
     auto [t, inserted] = ended_.try_emplace(txn, attempt);
     if (!inserted && t->second < attempt) t->second = attempt;
   }
-  ++orphans_reaped_;
   remove_mirror(it);
 }
 
@@ -360,127 +330,6 @@ void GlobalCeilingManager::finish_abort(Mirror& mirror) {
   pcp_.on_end(mirror.ctx);
 }
 
-// ---- GlobalCeilingClient ----
-
-GlobalCeilingClient::GlobalCeilingClient(sim::Kernel& kernel,
-                                         net::MessageServer& server,
-                                         net::RpcClient& rpc, Options options,
-                                         net::ReliableChannel* channel)
-    : cc::ConcurrencyController(kernel),
-      server_(server),
-      rpc_(rpc),
-      manager_site_(options.manager_site),
-      acquire_timeout_(options.acquire_timeout),
-      channel_(channel) {}
-
-void GlobalCeilingClient::do_begin(cc::CcTxn& txn) {
-  RegisterTxnMsg message;
-  message.txn = txn.id.value;
-  message.attempt = txn.attempt;
-  message.priority_key = txn.base_priority.key();
-  message.priority_tie = txn.base_priority.tie();
-  message.deadline_ticks = txn.deadline.as_ticks();
-  const auto ops = txn.access.operations();
-  message.operations.assign(ops.begin(), ops.end());
-  registered_[txn.id.value] = Registration{message};
-  send_control(std::move(message));
-}
-
-sim::Task<std::optional<cc::AbortReason>> GlobalCeilingClient::acquire(
-    cc::CcTxn& txn, db::ObjectId object, cc::LockMode mode) {
-  // The whole round trip — two communication delays plus any remote
-  // ceiling blocking — counts as blocked time; it is exactly the
-  // synchronization delay the paper attributes to this scheme.
-  begin_block(txn);
-  notify_block(txn, object, mode, {});  // blockers unknown: they are remote
-  struct EndBlock {
-    GlobalCeilingClient* self;
-    cc::CcTxn* txn;
-    ~EndBlock() { self->end_block(*txn); }
-  } guard{this, &txn};
-  const AcquireReq request{txn.id.value, txn.attempt, object, mode};
-  AcquireResp resp{};
-  // The Register this acquire depends on may still sit in the batch
-  // window; push it out before blocking on the manager's answer.
-  if (batch_ != nullptr) batch_->flush(manager_site_);
-  if (acquire_timeout_.is_zero()) {
-    std::optional<net::Payload> response =
-        co_await rpc_.call(manager_site_, request);
-    assert(response.has_value());  // no client-side timeout in use
-    resp = response->get<AcquireResp>();
-  } else {
-    // Faulty runs: the manager may have crashed (no reply ever) or the
-    // request/reply may have been dropped. Re-issue until an answer comes
-    // back — after a failover, manager_site_ already points at the
-    // successor. The manager side makes re-issues idempotent; the attempt
-    // deadline watchdog bounds the loop.
-    while (true) {
-      // After a failover, the re-registration may be queued for the new
-      // manager; it must land before this re-issued request.
-      if (batch_ != nullptr) batch_->flush(manager_site_);
-      std::optional<net::Payload> response =
-          co_await rpc_.call(manager_site_, request, acquire_timeout_);
-      if (!response.has_value()) {
-        ++acquire_retries_;
-        continue;
-      }
-      resp = response->get<AcquireResp>();
-      if (resp.term < term_) {
-        // The response is stamped with an expired term: it came from a
-        // manager that lost an election we already learned about (e.g. a
-        // fenced-off minority-side manager answering a retried request).
-        // Never act on it — not even on a denial — and re-issue against
-        // the current manager.
-        ++stale_grants_rejected_;
-        ++acquire_retries_;
-        continue;
-      }
-      break;
-    }
-  }
-  if (!resp.granted) {
-    count_protocol_abort();
-    notify_abort(txn.id, cc::AbortReason::kDeadlockVictim);
-    co_return cc::AbortReason::kDeadlockVictim;
-  }
-  if (observer_ != nullptr) {
-    observer_->on_grant_accepted(server_.site(), resp.term);
-  }
-  // Track the held set for failover re-registration.
-  if (auto it = registered_.find(txn.id.value); it != registered_.end()) {
-    it->second.msg.held.push_back(cc::Operation{object, mode});
-  }
-  count_grant();
-  notify_grant(txn, object, mode);
-  co_return std::nullopt;
-}
-
-void GlobalCeilingClient::do_release_all(cc::CcTxn& txn) {
-  if (auto it = registered_.find(txn.id.value); it != registered_.end()) {
-    it->second.msg.held.clear();
-  }
-  send_control(ReleaseAllMsg{txn.id.value, txn.attempt});
-}
-
-void GlobalCeilingClient::do_end(cc::CcTxn& txn) {
-  registered_.erase(txn.id.value);
-  send_control(EndTxnMsg{txn.id.value, txn.attempt});
-}
-
-void GlobalCeilingClient::set_manager(net::SiteId manager,
-                                      std::uint64_t term) {
-  if (term > term_) term_ = term;  // terms only move forward
-  if (manager == manager_site_) return;
-  manager_site_ = manager;
-  // Rebuild the new manager's state: re-register every live local
-  // transaction with its current held set (std::map order keeps the
-  // replay deterministic).
-  for (const auto& [txn, registration] : registered_) {
-    (void)txn;
-    send_control(registration.msg);
-  }
-}
-
 // ---- DataServer ----
 
 DataServer::DataServer(net::MessageServer& server, net::RpcDispatcher& rpc,
@@ -504,7 +353,6 @@ DataServer::DataServer(net::MessageServer& server, net::RpcDispatcher& rpc,
                   for (std::size_t i = 0; i < staged.objects.size(); ++i) {
                     rm_.apply_update(staged.objects[i], staged.versions[i]);
                   }
-                  ++applied_commits_;
                   return;
                 }
                 // Partitioned: this owner computes the versions itself.
@@ -514,12 +362,10 @@ DataServer::DataServer(net::MessageServer& server, net::RpcDispatcher& rpc,
                 server_.kernel().spawn(
                     "apply-" + std::to_string(txn.value),
                     [](db::ResourceManager& manager, db::TxnId writer,
-                       std::vector<db::ObjectId> objects,
-                       std::uint64_t& counter) -> sim::Task<void> {
+                       std::vector<db::ObjectId> objects) -> sim::Task<void> {
                       co_await manager.commit_writes(writer, objects,
                                                      sim::Priority::highest());
-                      ++counter;
-                    }(rm_, txn, std::move(staged.objects), applied_commits_));
+                    }(rm_, txn, std::move(staged.objects)));
               }},
           participant_options) {
   server_.on<WriteSetMsg>([this](SiteId /*from*/, WriteSetMsg message) {

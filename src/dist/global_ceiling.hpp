@@ -12,9 +12,7 @@
 #include "db/database.hpp"
 #include "db/resource_manager.hpp"
 #include "dist/lease.hpp"
-#include "net/batch.hpp"
 #include "net/message_server.hpp"
-#include "net/reliable.hpp"
 #include "net/rpc.hpp"
 #include "sched/cpu.hpp"
 #include "sim/kernel.hpp"
@@ -23,16 +21,16 @@
 
 namespace rtdb::dist {
 
-// ---- wire messages of the global ceiling scheme ----
+// ---- wire messages of the global and partitioned ceiling schemes ----
 
 // Control messages carry the 1-based attempt number of the sending attempt
 // (0 = legacy sender): with retransmission in play, a duplicate from an
 // aborted attempt must not corrupt the state of the current one.
 //
-// Under the partitioned scheme every control message also carries the
-// shard it addresses: a site hosts one handler slot per message type, so
-// a per-site ShardRouter demultiplexes on this field. 0 (the only value
-// the global scheme ever sends) routes to the sole manager.
+// Every control message also carries the shard it addresses: a site hosts
+// one handler slot per message type, so a per-site ShardRouter
+// demultiplexes on this field. The global scheme is the one-shard layout
+// and always sends 0.
 struct RegisterTxnMsg {
   std::uint64_t txn = 0;
   std::uint32_t attempt = 0;
@@ -97,43 +95,34 @@ struct WriteSetMsg {
 // The global ceiling manager of §4: one site holds all the information for
 // the ceiling protocol and takes every ceiling-blocking decision; lock
 // requests from every site travel to it and grants travel back, so locks
-// are held across the network for the whole transaction.
+// are held across the network for the whole transaction. The partitioned
+// scheme runs one per shard over that shard's objects; the global scheme
+// is its one-shard case.
 //
 // Each registered transaction has a mirror CcTxn here; a waiting grant is a
 // kernel process blocked inside the embedded PriorityCeiling instance.
 class GlobalCeilingManager {
  public:
-  // With failover, every site hosts a manager instance but only the
-  // elected one is `active`. An inactive manager ignores registrations and
-  // denies acquires (the client retries against the real manager).
+  // With failover, every site hosts a manager instance per shard but only
+  // the elected one is `active`. An inactive manager ignores registrations
+  // and denies acquires (the client retries against the real manager).
   // `reap_orphans` arms the deadline-based orphan reaper — required under
   // faults (a partition can eat a dead transaction's ReleaseAll/EndTxn for
   // longer than the retransmit budget, leaving its mirror and any blocked
   // grant stuck here forever) and left off in fault-free runs so no extra
-  // kernel events exist and artifacts stay byte-identical. The handlers
-  // are registered on the server, so control messages arrive the same way
-  // whether they travel raw, in batch frames or reliably wrapped.
-  GlobalCeilingManager(net::MessageServer& server, net::RpcDispatcher& rpc,
-                       std::uint32_t object_count, bool active = true,
-                       bool reap_orphans = false);
+  // kernel events exist and artifacts stay byte-identical. The manager
+  // registers no handlers: the site's ShardRouter owns the per-type slots
+  // and calls the handle_* entry points below, so control messages arrive
+  // the same way whether they travel raw, in batch frames or reliably
+  // wrapped.
+  GlobalCeilingManager(net::MessageServer& server, std::uint32_t object_count,
+                       bool active, bool reap_orphans);
 
-  // Routed mode (the partitioned scheme): the manager registers NO
-  // handlers — a per-site ShardRouter owns the per-type handler slots and
-  // feeds the right shard's manager through the route_* entry points.
-  struct Routed {};
-  GlobalCeilingManager(Routed, net::MessageServer& server,
-                       std::uint32_t object_count, bool active,
-                       bool reap_orphans);
-
-  // Entry points for the ShardRouter (routed mode; harmless otherwise).
-  void route_register(net::SiteId from, RegisterTxnMsg message) {
-    handle_register(from, std::move(message));
-  }
-  void route_release(const ReleaseAllMsg& message) { handle_release(message); }
-  void route_end(const EndTxnMsg& message) { handle_end(message); }
-  void route_acquire(AcquireReq request, net::RpcServer::Responder respond) {
-    handle_acquire(std::move(request), std::move(respond));
-  }
+  // Entry points for the ShardRouter.
+  void handle_register(net::SiteId from, RegisterTxnMsg message);
+  void handle_release(const ReleaseAllMsg& message);
+  void handle_end(const EndTxnMsg& message);
+  void handle_acquire(AcquireReq request, net::RpcServer::Responder respond);
 
   GlobalCeilingManager(const GlobalCeilingManager&) = delete;
   GlobalCeilingManager& operator=(const GlobalCeilingManager&) = delete;
@@ -147,8 +136,6 @@ class GlobalCeilingManager {
   // Locks re-installed from failover re-registrations (`held` sets): locks
   // that would otherwise have been orphaned at the dead manager.
   std::uint64_t orphan_locks_reclaimed() const { return orphans_reclaimed_; }
-  // Mirrors reaped past their deadline (teardown messages lost for good).
-  std::uint64_t orphans_reaped() const { return orphans_reaped_; }
   // Transactions currently registered here; 0 once the system drains.
   std::size_t live_mirrors() const { return mirrors_.size(); }
   bool active() const { return active_; }
@@ -163,7 +150,6 @@ class GlobalCeilingManager {
     fenced_ = false;
     lease_term_ = term;
   }
-  void activate() { activate(lease_term_); }
   // Lease fence: a fenced manager stops granting (acquires are denied,
   // in-flight grants deny at reply time) but keeps serving registers,
   // releases, and ends — the lock book stays current so the successor's
@@ -201,11 +187,6 @@ class GlobalCeilingManager {
     bool reap_armed = false;
   };
 
-  void install_hooks();
-  void handle_register(net::SiteId from, RegisterTxnMsg message);
-  void handle_release(const ReleaseAllMsg& message);
-  void handle_end(const EndTxnMsg& message);
-  void handle_acquire(AcquireReq request, net::RpcServer::Responder respond);
   sim::Task<void> serve_acquire(Mirror& mirror, AcquireReq request,
                                 net::RpcServer::Responder respond);
   // Kills waiting grants and releases everything; shared teardown of
@@ -241,92 +222,6 @@ class GlobalCeilingManager {
   std::uint64_t acquire_requests_ = 0;
   std::uint64_t denials_ = 0;
   std::uint64_t orphans_reclaimed_ = 0;
-  std::uint64_t orphans_reaped_ = 0;
-};
-
-// The client-side controller each site runs: every protocol step is a
-// message to the manager. acquire() blocks for the round trip and for the
-// (possibly long) remote ceiling blocking; a denial (the manager aborted
-// the transaction) returns kDeadlockVictim, restarting the attempt.
-class GlobalCeilingClient : public cc::ConcurrencyController {
- public:
-  struct Options {
-    net::SiteId manager_site = 0;
-    // Per-try deadline on the acquire RPC; on expiry the request is
-    // re-issued (possibly to a new manager after a failover). Zero waits
-    // forever — the fault-free behaviour, where a response is guaranteed.
-    sim::Duration acquire_timeout{};
-  };
-
-  GlobalCeilingClient(sim::Kernel& kernel, net::MessageServer& server,
-                      net::RpcClient& rpc, net::SiteId manager_site)
-      : GlobalCeilingClient(kernel, server, rpc, Options{manager_site, {}},
-                            nullptr) {}
-  GlobalCeilingClient(sim::Kernel& kernel, net::MessageServer& server,
-                      net::RpcClient& rpc, Options options,
-                      net::ReliableChannel* channel);
-
-  sim::Task<std::optional<cc::AbortReason>> acquire(
-      cc::CcTxn& txn, db::ObjectId object, cc::LockMode mode) override;
-  std::string_view name() const override { return "PCP-global"; }
-
-  net::SiteId manager_site() const { return manager_site_; }
-  // Failover: re-target the manager and re-register every live local
-  // transaction there (including the locks it already holds, which the new
-  // manager adopts). In-flight acquires re-issue themselves on their next
-  // timeout. `term` is the election term the client accepts grants
-  // against; a term-only change (same manager, newer election learned
-  // late) just refreshes the fence without re-registering.
-  void set_manager(net::SiteId manager, std::uint64_t term);
-  void set_manager(net::SiteId manager) { set_manager(manager, term_); }
-  std::uint64_t term() const { return term_; }
-  // Acquire RPCs re-issued after a timeout.
-  std::uint64_t acquire_retries() const { return acquire_retries_; }
-  // Grants rejected because their term predated the client's election
-  // view (a fenced-off old manager answered a retried request).
-  std::uint64_t stale_grants_rejected() const {
-    return stale_grants_rejected_;
-  }
-  // Conformance audit tap for grant acceptance (optional; may be null).
-  void set_lease_observer(LeaseObserver* observer) { observer_ = observer; }
-  // Routes control messages through the site's BatchChannel (coalesced
-  // same-destination frames). May be null; a disabled channel passes
-  // through unchanged.
-  void set_batch(net::BatchChannel* batch) { batch_ = batch; }
-
- protected:
-  void do_begin(cc::CcTxn& txn) override;
-  void do_release_all(cc::CcTxn& txn) override;
-  void do_end(cc::CcTxn& txn) override;
-
- private:
-  // Everything needed to (re-)register a live transaction with a manager.
-  struct Registration {
-    RegisterTxnMsg msg;  // held kept current as locks are granted
-  };
-
-  template <typename T>
-  void send_control(T message) {
-    if (batch_ != nullptr) {
-      batch_->send(manager_site_, std::move(message));
-    } else if (channel_ != nullptr) {
-      channel_->send(manager_site_, std::move(message));
-    } else {
-      server_.send(manager_site_, std::move(message));
-    }
-  }
-
-  net::MessageServer& server_;
-  net::RpcClient& rpc_;
-  net::SiteId manager_site_;
-  std::uint64_t term_ = 0;
-  sim::Duration acquire_timeout_{};
-  net::ReliableChannel* channel_ = nullptr;
-  net::BatchChannel* batch_ = nullptr;
-  LeaseObserver* observer_ = nullptr;
-  std::map<std::uint64_t, Registration> registered_;
-  std::uint64_t acquire_retries_ = 0;
-  std::uint64_t stale_grants_rejected_ = 0;
 };
 
 // Per-site data service for the partitioned database: answers remote
@@ -334,15 +229,9 @@ class GlobalCeilingClient : public cc::ConcurrencyController {
 // write sets on commit.
 class DataServer {
  public:
-  DataServer(net::MessageServer& server, net::RpcDispatcher& rpc,
-             db::ResourceManager& rm)
-      : DataServer(server, rpc, rm, txn::CommitParticipant::Options{}) {}
-  // `decision_timeout` > 0 arms presumed abort on the embedded 2PC
-  // participant (see txn::CommitParticipant::Options).
-  DataServer(net::MessageServer& server, net::RpcDispatcher& rpc,
-             db::ResourceManager& rm, sim::Duration decision_timeout)
-      : DataServer(server, rpc, rm,
-                   txn::CommitParticipant::Options{decision_timeout}) {}
+  // `participant_options` configures the embedded 2PC participant (a
+  // nonzero decision timeout arms presumed abort; see
+  // txn::CommitParticipant::Options).
   DataServer(net::MessageServer& server, net::RpcDispatcher& rpc,
              db::ResourceManager& rm,
              txn::CommitParticipant::Options participant_options);
@@ -359,7 +248,6 @@ class DataServer {
   txn::CommitParticipant& participant() { return participant_; }
 
   std::uint64_t remote_reads() const { return remote_reads_; }
-  std::uint64_t applied_commits() const { return applied_commits_; }
   std::uint64_t presumed_aborts() const {
     return participant_.presumed_aborts();
   }
@@ -376,7 +264,6 @@ class DataServer {
   txn::CommitParticipant participant_;
   std::unordered_map<std::uint64_t, WriteSetMsg> staged_;
   std::uint64_t remote_reads_ = 0;
-  std::uint64_t applied_commits_ = 0;
 };
 
 // Transaction body under the global scheme: every lock is acquired through
@@ -397,9 +284,8 @@ class GlobalExecutor : public txn::TxnExecutor {
     sched::PreemptiveCpu* cpu = nullptr;
     db::ResourceManager* rm = nullptr;  // this site's partition
     const db::Database* schema = nullptr;
-    // Any remote-client controller (GlobalCeilingClient or the
-    // partitioned scheme's PartitionedCeilingClient); only the base
-    // lifecycle is used.
+    // The site's PartitionedCeilingClient (one shard under the global
+    // scheme); only the base lifecycle is used.
     cc::ConcurrencyController* cc = nullptr;
     net::MessageServer* server = nullptr;
     net::RpcClient* rpc = nullptr;

@@ -55,7 +55,7 @@ void ShardRouter::route_register(SiteId from, RegisterTxnMsg message) {
     return;
   }
   GlobalCeilingManager* manager = managers_[message.shard];
-  if (manager != nullptr) manager->route_register(from, std::move(message));
+  if (manager != nullptr) manager->handle_register(from, std::move(message));
 }
 
 void ShardRouter::route_release(const ReleaseAllMsg& message) {
@@ -64,7 +64,7 @@ void ShardRouter::route_release(const ReleaseAllMsg& message) {
     return;
   }
   GlobalCeilingManager* manager = managers_[message.shard];
-  if (manager != nullptr) manager->route_release(message);
+  if (manager != nullptr) manager->handle_release(message);
 }
 
 void ShardRouter::route_end(const EndTxnMsg& message) {
@@ -73,7 +73,7 @@ void ShardRouter::route_end(const EndTxnMsg& message) {
     return;
   }
   GlobalCeilingManager* manager = managers_[message.shard];
-  if (manager != nullptr) manager->route_end(message);
+  if (manager != nullptr) manager->handle_end(message);
 }
 
 void ShardRouter::route_acquire(AcquireReq request,
@@ -91,7 +91,7 @@ void ShardRouter::route_acquire(AcquireReq request,
     respond(AcquireResp{false, 0});
     return;
   }
-  manager->route_acquire(std::move(request), std::move(respond));
+  manager->handle_acquire(std::move(request), std::move(respond));
 }
 
 void ShardRouter::route_view(SiteId from, std::uint64_t term, SiteId manager,
@@ -101,7 +101,7 @@ void ShardRouter::route_view(SiteId from, std::uint64_t term, SiteId manager,
     return;
   }
   FailoverCoordinator* failover = failovers_[shard];
-  if (failover != nullptr) failover->deliver_view(from, term, manager);
+  if (failover != nullptr) failover->handle_view(from, term, manager);
 }
 
 // ---- PartitionedCeilingClient ----
@@ -149,8 +149,9 @@ void PartitionedCeilingClient::do_begin(cc::CcTxn& txn) {
 sim::Task<std::optional<cc::AbortReason>> PartitionedCeilingClient::acquire(
     cc::CcTxn& txn, db::ObjectId object, cc::LockMode mode) {
   const std::uint32_t shard = options_.shard_of(object);
-  // The round trip plus any remote ceiling blocking counts as blocked
-  // time, exactly as under the global scheme.
+  // The whole round trip plus any remote ceiling blocking counts as
+  // blocked time: it is exactly the synchronization delay the paper
+  // attributes to the global scheme.
   begin_block(txn);
   notify_block(txn, object, mode, {});  // blockers unknown: they are remote
   struct EndBlock {
@@ -170,22 +171,24 @@ sim::Task<std::optional<cc::AbortReason>> PartitionedCeilingClient::acquire(
     assert(response.has_value());  // no client-side timeout in use
     resp = response->get<AcquireResp>();
   } else {
-    // Faulty runs: re-issue until an answer comes back; after a failover
-    // sh.manager_site already points at the shard's successor.
+    // Faulty runs: the manager may have crashed (no reply ever) or the
+    // request/reply may have been dropped. Re-issue until an answer comes
+    // back; after a failover sh.manager_site already points at the shard's
+    // successor. The manager side makes re-issues idempotent; the attempt
+    // deadline watchdog bounds the loop.
     while (true) {
+      // After a failover the re-registration may be queued for the new
+      // manager; it must land before this re-issued request.
       if (batch_ != nullptr) batch_->flush(sh.manager_site);
       std::optional<net::Payload> response = co_await rpc_.call(
           sh.manager_site, request, options_.acquire_timeout);
-      if (!response.has_value()) {
-        ++acquire_retries_;
-        continue;
-      }
+      if (!response.has_value()) continue;
       resp = response->get<AcquireResp>();
       if (resp.term < sh.term) {
         // Stamped with an expired term for this shard: a fenced-off old
-        // manager answered a retried request. Never act on it.
+        // manager answered a retried request. Never act on it — not even
+        // on a denial — and re-issue against the current manager.
         ++stale_grants_rejected_;
-        ++acquire_retries_;
         continue;
       }
       break;

@@ -9,6 +9,7 @@
 #include "dist/failover.hpp"
 #include "dist/global_ceiling.hpp"
 #include "net/batch.hpp"
+#include "net/reliable.hpp"
 #include "net/rpc.hpp"
 
 namespace rtdb::dist {
@@ -20,7 +21,8 @@ namespace rtdb::dist {
 // failover every site hosts a standby per shard and each shard runs its
 // own lease-fenced election. What the scheme buys is the removal of the
 // global scheme's single serialization point — transactions touching
-// disjoint shards never queue behind one another's control traffic.
+// disjoint shards never queue behind one another's control traffic. The
+// global scheme itself is this machinery at one shard.
 //
 // A site has exactly ONE handler slot per message type, but hosts many
 // shard endpoints; the ShardRouter owns those slots and demultiplexes on
@@ -61,12 +63,15 @@ class ShardRouter {
   std::uint64_t misrouted_ = 0;
 };
 
-// The client-side controller each site runs under the partitioned scheme.
-// Identical in spirit to GlobalCeilingClient, but every protocol step is
-// split per shard: begin registers the transaction's declared subset with
-// each shard it touches, acquire targets the owning shard's manager, and
-// release/end fan out to every registered shard. Each shard has its own
-// manager site, election term, and (optional) lease-audit observer.
+// The client-side controller each site runs under the global and
+// partitioned schemes: every protocol step is a message to a ceiling
+// manager, split per shard. Begin registers the transaction's declared
+// subset with each shard it touches, acquire targets the owning shard's
+// manager and blocks for the round trip and any remote ceiling blocking
+// (a denial — the manager aborted the transaction — returns
+// kDeadlockVictim, restarting the attempt), and release/end fan out to
+// every registered shard. Each shard has its own manager site, election
+// term, and (optional) lease-audit observer.
 class PartitionedCeilingClient : public cc::ConcurrencyController {
  public:
   struct Options {
@@ -94,14 +99,19 @@ class PartitionedCeilingClient : public cc::ConcurrencyController {
   }
   // Failover of one shard: re-target its manager and re-register every
   // live local transaction's slice of that shard (held locks included, so
-  // the successor adopts them). Other shards are untouched.
+  // the successor adopts them). Other shards are untouched, and in-flight
+  // acquires re-issue themselves on their next timeout. A term-only change
+  // (same manager, newer election learned late) just refreshes the fence
+  // grants are accepted against.
   void set_manager(std::uint32_t shard, net::SiteId manager,
                    std::uint64_t term);
   void set_lease_observer(std::uint32_t shard, LeaseObserver* observer) {
     shards_[shard].observer = observer;
   }
 
-  std::uint64_t acquire_retries() const { return acquire_retries_; }
+  // Grants rejected because their term predated the client's election
+  // view of the shard (a fenced-off old manager answered a retried
+  // request).
   std::uint64_t stale_grants_rejected() const {
     return stale_grants_rejected_;
   }
@@ -140,7 +150,6 @@ class PartitionedCeilingClient : public cc::ConcurrencyController {
   // both levels so failover re-registration replays deterministically.
   std::map<std::uint64_t, std::map<std::uint32_t, RegisterTxnMsg>>
       registered_;
-  std::uint64_t acquire_retries_ = 0;
   std::uint64_t stale_grants_rejected_ = 0;
 };
 

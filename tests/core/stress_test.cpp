@@ -94,10 +94,11 @@ TEST(KillStormTest, GlobalManagerDrainsUnderMassAborts) {
   const auto m = system.metrics();
   EXPECT_EQ(m.processed, 200u);
   EXPECT_GT(m.missed, 50u);
-  ASSERT_NE(system.global_manager(), nullptr);
-  EXPECT_EQ(system.global_manager()->live_mirrors(), 0u);
-  EXPECT_EQ(system.global_manager()->protocol().active_transactions(), 0u);
-  EXPECT_EQ(system.global_manager()->protocol().waiter_count(), 0u);
+  const auto& manager = system.site(0).shard_managers[0];
+  ASSERT_NE(manager, nullptr);
+  EXPECT_EQ(manager->live_mirrors(), 0u);
+  EXPECT_EQ(manager->protocol().active_transactions(), 0u);
+  EXPECT_EQ(manager->protocol().waiter_count(), 0u);
   for (net::SiteId s = 0; s < 3; ++s) {
     EXPECT_EQ(system.site(s).tm->live_count(), 0u);
   }

@@ -90,9 +90,10 @@ TEST(SystemIntegration, GlobalCeilingProcessesBatch) {
   const auto m = system.metrics();
   EXPECT_EQ(m.processed, 150u);
   EXPECT_GT(m.committed, 100u);
-  ASSERT_NE(system.global_manager(), nullptr);
-  EXPECT_GT(system.global_manager()->registrations(), 0u);
-  EXPECT_GT(system.global_manager()->acquire_requests(), 0u);
+  const auto& manager = system.site(0).shard_managers[0];
+  ASSERT_NE(manager, nullptr);
+  EXPECT_GT(manager->registrations(), 0u);
+  EXPECT_GT(manager->acquire_requests(), 0u);
   // One global serialization domain: the committed history must be
   // globally conflict-serializable.
   std::string why;

@@ -59,9 +59,9 @@ TEST(FailoverTest, ManagerCrashFailsOverAndSurvivorsKeepCommitting) {
   EXPECT_EQ(system.crashes(), 1u);
   // Exactly one site promoted itself: the next live site by id.
   EXPECT_GE(system.total_failovers(), 1u);
-  EXPECT_EQ(system.site(1).failover->manager(), 1u);
-  EXPECT_EQ(system.site(2).failover->manager(), 1u);
-  EXPECT_TRUE(system.site(1).manager->active());
+  EXPECT_EQ(system.site(1).shard_failovers[0]->manager(), 1u);
+  EXPECT_EQ(system.site(2).shard_failovers[0]->manager(), 1u);
+  EXPECT_TRUE(system.site(1).shard_managers[0]->active());
   // The survivors kept committing after the manager died.
   EXPECT_GT(committed_after(system, tu(150)), 0);
   // And the end state audits clean: controllers quiescent, no mirror or
@@ -79,6 +79,8 @@ TEST(FailoverTest, FailoverOutperformsTheNoFailoverBaseline) {
   const core::RunResult without = core::ExperimentRunner::run_once(cfg);
   EXPECT_GE(with.failovers, 1u);
   EXPECT_EQ(without.failovers, 0u);
+  // A global-scheme promotion is a failover, never a shard migration.
+  EXPECT_EQ(with.shard_migrations, 0u);
   // Without a successor, everything submitted after the crash can only
   // miss its deadline; failover recovers most of that work.
   EXPECT_GT(with.metrics.committed, without.metrics.committed);
@@ -97,9 +99,9 @@ TEST(FailoverTest, RestoredManagerRejoinsAsStandby) {
   // The old manager came back, heard the newer term, and submitted to it:
   // every site agrees the manager is site 1, and site 0's instance stays
   // inactive.
-  EXPECT_EQ(system.site(0).failover->manager(), 1u);
-  EXPECT_FALSE(system.site(0).manager->active());
-  EXPECT_TRUE(system.site(1).manager->active());
+  EXPECT_EQ(system.site(0).shard_failovers[0]->manager(), 1u);
+  EXPECT_FALSE(system.site(0).shard_managers[0]->active());
+  EXPECT_TRUE(system.site(1).shard_managers[0]->active());
   std::string why;
   EXPECT_EQ(system.invariant_violations(&why), 0u) << why;
 }

@@ -74,8 +74,8 @@ TEST(SystemFaultTest, GlobalSchemeCrashAbortsDeadSiteTransactions) {
   EXPECT_GT(system.total_crash_kills(), 0u);
   // The global manager freed the dead site's locks (idealized failure
   // detection), so the survivors drained: nothing is left registered.
-  ASSERT_NE(system.global_manager(), nullptr);
-  EXPECT_EQ(system.global_manager()->live_mirrors(), 0u);
+  ASSERT_NE(system.site(0).shard_managers[0], nullptr);
+  EXPECT_EQ(system.site(0).shard_managers[0]->live_mirrors(), 0u);
   // While site 2 was down its 2PC votes never arrived: replicated commits
   // at the surviving sites aborted on the vote timeout.
   EXPECT_GT(system.total_vote_timeouts(), 0u);

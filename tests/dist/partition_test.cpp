@@ -59,19 +59,20 @@ TEST(PartitionToleranceTest, MajoritySideElectsAndKeepsCommitting) {
   system.run_to_completion();
 
   // The isolated manager's lease expired (it fenced itself)...
-  EXPECT_GE(system.site(0).failover->lease_expiries(), 1u);
+  EXPECT_GE(system.site(0).shard_failovers[0]->lease_expiries(), 1u);
   // ...and the majority promoted the next site.
   EXPECT_GE(system.total_failovers(), 1u);
-  EXPECT_EQ(system.site(1).failover->manager(), 1u);
-  EXPECT_EQ(system.site(2).failover->manager(), 1u);
+  EXPECT_EQ(system.site(1).shard_failovers[0]->manager(), 1u);
+  EXPECT_EQ(system.site(2).shard_failovers[0]->manager(), 1u);
   // The majority side kept committing during the split.
   EXPECT_GT(committed_between(system, tu(150), tu(450)), 0);
   // Messages really were cut.
   EXPECT_GT(system.total_partition_drops(), 0u);
   // Post-heal, the minority adopted the higher term: every site agrees.
-  EXPECT_EQ(system.site(0).failover->manager(), 1u);
-  EXPECT_EQ(system.site(0).failover->term(), system.site(1).failover->term());
-  EXPECT_FALSE(system.site(0).manager->active());
+  EXPECT_EQ(system.site(0).shard_failovers[0]->manager(), 1u);
+  EXPECT_EQ(system.site(0).shard_failovers[0]->term(),
+            system.site(1).shard_failovers[0]->term());
+  EXPECT_FALSE(system.site(0).shard_managers[0]->active());
   // Audit-clean: no lease invariant violated, nothing leaked.
   ASSERT_NE(system.conformance(), nullptr);
   EXPECT_EQ(system.conformance()->violations(), 0u)
@@ -95,7 +96,7 @@ TEST(PartitionToleranceTest, LeaseFencesBeforeTheElectionWindowElapses) {
   // Site 0 fenced at least once; it never granted under an expired lease,
   // so clients saw denials, not stale grants, from the minority side —
   // stale-term *responses* may still reach retried acquires after heal.
-  EXPECT_GE(system.site(0).failover->lease_expiries(), 1u);
+  EXPECT_GE(system.site(0).shard_failovers[0]->lease_expiries(), 1u);
   EXPECT_GE(system.total_fence_denials(), 0u);
   std::string why;
   EXPECT_EQ(system.invariant_violations(&why), 0u) << why;
@@ -134,7 +135,7 @@ TEST(PartitionToleranceTest, AsymmetricCutIsCaughtByStaleTermRejection) {
   core::System system{cfg};
   system.run_to_completion();
   EXPECT_GE(system.total_failovers(), 1u);
-  EXPECT_EQ(system.site(1).failover->manager(), 1u);
+  EXPECT_EQ(system.site(1).shard_failovers[0]->manager(), 1u);
   ASSERT_NE(system.conformance(), nullptr);
   EXPECT_EQ(system.conformance()->violations(), 0u)
       << system.conformance()->format_reports();

@@ -73,6 +73,18 @@ TEST(PartitionedSchemeTest, ShardCountClampsToConfigAndSites) {
     core::System system{cfg};
     EXPECT_EQ(system.effective_shards(), 4u);
   }
+  {
+    // The global scheme is the one-shard layout: config.shards does not
+    // apply to it.
+    core::SystemConfig cfg = part_cfg(4);
+    cfg.scheme = core::DistScheme::kGlobalCeiling;
+    cfg.shards = 4;
+    core::System system{cfg};
+    EXPECT_EQ(system.effective_shards(), 1u);
+    for (std::uint32_t id = 0; id < cfg.sites; ++id) {
+      EXPECT_EQ(system.site(id).shard_managers.size(), 1u) << "site " << id;
+    }
+  }
 }
 
 TEST(PartitionedSchemeTest, RunsAreDeterministic) {
