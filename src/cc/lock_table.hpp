@@ -58,24 +58,15 @@ class LockTable {
   std::vector<db::ObjectId> release_all(CcTxn& txn);
 
   // Invoked (if set) for every request the moment it is granted from the
-  // queue, before its process resumes. Protocols use it to drop wait-for
-  // edges and refresh inheritance without racing the wake-up.
+  // queue, before its process resumes. Protocols use it to end the
+  // requester's block and drop it from their own waiting bookkeeping
+  // without racing the wake-up.
   void set_grant_observer(std::function<void(Request&)> observer) {
     on_grant_ = std::move(observer);
   }
 
   // The requests currently queued on `object`, in queue order.
   std::vector<Request*> queued_requests(db::ObjectId object) const;
-
-  // Allocation-free variant of queued_requests for the protocols' hot
-  // paths: visits each queued request in queue order. `fn` must not mutate
-  // the table.
-  template <typename Fn>
-  void for_each_queued(db::ObjectId object, Fn&& fn) const {
-    auto it = locks_.find(object);
-    if (it == locks_.end()) return;
-    for (Request* request : it->second.queue) fn(*request);
-  }
 
   // ---- introspection (deadlock detection, wound decisions) ----
   // Current holders of the object's lock.

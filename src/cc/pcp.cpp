@@ -34,6 +34,7 @@ void PriorityCeiling::do_begin(CcTxn& txn) {
     decls_.resize(object_count_);
     lock_slots_.resize(object_count_);
   }
+  assert(txn.inherited == Priority::lowest() && "stale inherited priority");
   active_.emplace(txn.id, &txn);
   add_declarations(txn);
   // New declarations only *raise* ceilings, so nothing becomes grantable —
@@ -45,6 +46,7 @@ void PriorityCeiling::do_begin(CcTxn& txn) {
 void PriorityCeiling::do_end(CcTxn& txn) {
   assert(active_.contains(txn.id));
   active_.erase(txn.id);
+  if (txn.inherited != Priority::lowest()) --inheriting_;
   set_inherited(txn, Priority::lowest());
   remove_declarations(txn);
   // Lowered ceilings may unblock waiters.
@@ -273,7 +275,8 @@ const PriorityCeiling::LockState* PriorityCeiling::strongest_blocking_lock(
   return best;
 }
 
-bool PriorityCeiling::can_grant(const CcTxn& txn) const {
+bool PriorityCeiling::passes_ceiling(const CcTxn& txn,
+                                     const LockState* blocking) {
   // The ceiling test uses the transaction's *assigned* priority, never the
   // inherited one: inheritance exists to speed up a blocking holder's
   // execution, not to let it pass ceilings. (Using the effective priority
@@ -281,9 +284,12 @@ bool PriorityCeiling::can_grant(const CcTxn& txn) const {
   // and acquire a conflicting lock.) Because every ceiling includes the
   // requester's own declaration, base-priority comparison also subsumes
   // the direct read/write conflict test, as §3.2 argues.
-  const LockState* blocking = strongest_blocking_lock(txn);
   return blocking == nullptr ||
          txn.base_priority.higher_than(blocking->rw_ceiling);
+}
+
+bool PriorityCeiling::can_grant(const CcTxn& txn) const {
+  return passes_ceiling(txn, strongest_blocking_lock(txn));
 }
 
 void PriorityCeiling::grant(CcTxn& txn, db::ObjectId object, LockMode mode) {
@@ -366,6 +372,8 @@ bool PriorityCeiling::stabilize(const CcTxn* requester) {
     restabilize_ = true;
     return false;
   }
+  // With no waiter and no inherited priority, every step below is a no-op.
+  if (waiters_.empty() && inheriting_ == 0) return false;
   stabilizing_ = true;
   struct Reset {
     bool& flag;
@@ -395,15 +403,18 @@ PriorityCeiling::Backstop PriorityCeiling::resolve_dynamic_deadlock(
     const CcTxn* requester) {
   if (waiters_.empty()) return Backstop::kQuiet;
   // Blocked-by graph: each waiter points at the holders of its current
-  // strongest blocking lock. Every node on a cycle is a waiter (only
-  // waiters have outgoing edges), so any victim is safely abortable.
-  // The adjacency lists live in reused flat scratch (`ddl_targets_` spans),
-  // attached to nodes through their epoch-stamped scratch marks.
+  // strongest blocking lock (found by the last update_inheritance()).
+  // Every node on a cycle is a waiter (only waiters have outgoing edges),
+  // so any victim is safely abortable. The adjacency lists live in reused
+  // flat scratch (`ddl_targets_` spans), attached to nodes through their
+  // epoch-stamped scratch marks.
+  assert(blocking_scratch_.size() == waiters_.size());
   ddl_targets_.clear();
   ddl_spans_.clear();
   const std::uint64_t edge_epoch = ++ddl_epoch_;
-  for (const Waiter* waiter : waiters_) {
-    const LockState* blocking = strongest_blocking_lock(*waiter->txn);
+  for (std::size_t i = 0; i < waiters_.size(); ++i) {
+    const Waiter* waiter = waiters_[i];
+    const LockState* blocking = blocking_scratch_[i];
     if (blocking == nullptr) continue;
     const auto first = static_cast<std::uint32_t>(ddl_targets_.size());
     if (blocking->writer != nullptr && blocking->writer != waiter->txn) {
@@ -419,23 +430,26 @@ PriorityCeiling::Backstop PriorityCeiling::resolve_dynamic_deadlock(
                             static_cast<std::uint32_t>(ddl_targets_.size()));
   }
 
+  // DFS from each waiter in turn, with colours (0 white, 1 grey, 2 black)
+  // kept across starts: a node finished by an earlier start reaches no
+  // cycle, so skipping it changes neither the first cycle found nor its
+  // victim.
+  const std::uint64_t colour_epoch = ++ddl_epoch_;
+  auto colour_of = [&](const CcTxn* node) -> int {
+    return node->scratch_colour_epoch == colour_epoch ? node->scratch_colour
+                                                      : 0;
+  };
+  auto set_colour = [&](CcTxn* node, int c) {
+    node->scratch_colour_epoch = colour_epoch;
+    node->scratch_colour = static_cast<std::uint8_t>(c);
+  };
+  auto targets_of = [&](const CcTxn* node) -> std::span<CcTxn* const> {
+    if (node->scratch_edge_epoch != edge_epoch) return {};
+    const auto& [first, last] = ddl_spans_[node->scratch_edge_index];
+    return {ddl_targets_.data() + first, ddl_targets_.data() + last};
+  };
   for (const Waiter* start : waiters_) {
-    // DFS from each waiter looking for a cycle through it. Colours (0 white
-    // 1 grey 2 black) reset per start by bumping the epoch.
-    const std::uint64_t colour_epoch = ++ddl_epoch_;
-    auto colour_of = [&](const CcTxn* node) -> int {
-      return node->scratch_colour_epoch == colour_epoch ? node->scratch_colour
-                                                        : 0;
-    };
-    auto set_colour = [&](CcTxn* node, int c) {
-      node->scratch_colour_epoch = colour_epoch;
-      node->scratch_colour = static_cast<std::uint8_t>(c);
-    };
-    auto targets_of = [&](const CcTxn* node) -> std::span<CcTxn* const> {
-      if (node->scratch_edge_epoch != edge_epoch) return {};
-      const auto& [first, last] = ddl_spans_[node->scratch_edge_index];
-      return {ddl_targets_.data() + first, ddl_targets_.data() + last};
-    };
+    if (colour_of(start->txn) != 0) continue;
     ddl_path_.clear();
     ddl_stack_.clear();
     set_colour(start->txn, 1);
@@ -519,19 +533,23 @@ void PriorityCeiling::update_inheritance() {
       for (CcTxn* reader : blocking->readers) inherit(reader);
     }
   }
+  inheriting_ = 0;
   for (const auto& [id, txn] : active_) {
     (void)id;
     set_inherited(*txn, txn->scratch_priority);
+    if (txn->inherited != Priority::lowest()) ++inheriting_;
   }
 }
 
 bool PriorityCeiling::grant_pass() {
   // Waiters are kept in priority order; grant the most urgent eligible one
-  // and report whether anything changed.
-  for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
-    Waiter* waiter = *it;
-    if (!can_grant(*waiter->txn)) continue;
-    waiters_.erase(it);
+  // and report whether anything changed. Each waiter's blocking lock is the
+  // one update_inheritance() just found.
+  assert(blocking_scratch_.size() == waiters_.size());
+  for (std::size_t i = 0; i < waiters_.size(); ++i) {
+    Waiter* waiter = waiters_[i];
+    if (!passes_ceiling(*waiter->txn, blocking_scratch_[i])) continue;
+    waiters_.erase(waiters_.begin() + static_cast<std::ptrdiff_t>(i));
     grant(*waiter->txn, waiter->object, waiter->mode);
     waiter->granted = true;
     end_block(*waiter->txn);

@@ -143,6 +143,8 @@ class PriorityCeiling : public ConcurrencyController {
   // The lock (held at least partly by others) with the strongest
   // rw-ceiling; nullptr when none.
   const LockState* strongest_blocking_lock(const CcTxn& txn) const;
+  // The grant rule, given txn's strongest blocking lock.
+  static bool passes_ceiling(const CcTxn& txn, const LockState* blocking);
   bool can_grant(const CcTxn& txn) const;
   void grant(CcTxn& txn, db::ObjectId object, LockMode mode);
   // Incremental static-ceiling maintenance over the declaration index: a
@@ -154,6 +156,10 @@ class PriorityCeiling : public ConcurrencyController {
   // Priority inheritance to a fixpoint, then grants every waiter the new
   // state allows, repeating until stable; finally runs the deadlock
   // backstop. Re-entrant (a backstop abort re-triggers it) via a dirty flag.
+  // Each waiter's strongest blocking lock is found once per round, by
+  // update_inheritance() into blocking_scratch_: the locks do not change
+  // until grant_pass() grants (which starts a new round), and the
+  // priority hooks never re-enter the controller.
   // `requester` is the transaction whose acquire() is running (nullptr
   // from every other call site). Returns true, stopping at once, when the
   // backstop's victim is that requester; its acquire() then returns the
@@ -183,9 +189,13 @@ class PriorityCeiling : public ConcurrencyController {
   std::vector<db::ObjectId> locked_ids_;  // sorted ascending
   std::unordered_map<db::TxnId, CcTxn*> active_;
   std::vector<Waiter*> waiters_;  // priority order (highest first)
-  // Reused scratch for update_inheritance / resolve_dynamic_deadlock so the
-  // stabilize loop allocates nothing. The epoch counter pairs with the
-  // scratch marks in CcTxn (stale epochs read as unmarked).
+  // Active transactions whose inherited priority is not lowest(); with no
+  // waiters either, stabilize() has nothing to do.
+  std::size_t inheriting_ = 0;
+  // Reused scratch for the stabilize loop so it allocates nothing:
+  // blocking_scratch_[i] is waiters_[i]'s strongest blocking lock, and the
+  // epoch counter pairs with the scratch marks in CcTxn (stale epochs read
+  // as unmarked).
   std::vector<const LockState*> blocking_scratch_;
   struct DdlFrame {
     CcTxn* node = nullptr;

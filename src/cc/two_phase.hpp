@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 
@@ -20,6 +21,8 @@ namespace rtdb::cc {
 // Deadlocks are detected continuously (a wait-for-graph cycle check on
 // every block) and resolved by aborting a victim chosen by VictimPolicy;
 // the transaction manager restarts victims until their deadline expires.
+// The graph is read from the live lock table: a waiting transaction waits
+// for the blockers of its queued request.
 class TwoPhaseLocking : public ConcurrencyController {
  public:
   enum class VictimPolicy : std::uint8_t {
@@ -44,7 +47,6 @@ class TwoPhaseLocking : public ConcurrencyController {
   const Options& options() const { return options_; }
   std::uint64_t deadlocks() const { return deadlocks_; }
   const LockTable& table() const { return table_; }
-  const WaitForGraph& wait_for_graph() const { return wfg_; }
 
  protected:
   void do_begin(CcTxn& txn) override;
@@ -52,20 +54,18 @@ class TwoPhaseLocking : public ConcurrencyController {
   void do_end(CcTxn& txn) override;
 
  private:
-  // Rebuilds the wait-for edges of every waiter queued on `object`.
-  void refresh_edges(db::ObjectId object);
   // Detects and resolves cycles created by `request`. Returns true as soon
   // as the requester itself is chosen as victim, false once it is
   // cycle-free.
   bool resolve_deadlocks(CcTxn& requester, LockTable::Request& request);
-  db::TxnId pick_victim(const std::vector<db::TxnId>& cycle,
+  db::TxnId pick_victim(std::span<const db::TxnId> cycle,
                         db::TxnId requester) const;
   // PIP: recomputes all inherited priorities to a fixpoint.
   void update_inheritance();
 
   Options options_;
   LockTable table_;
-  WaitForGraph wfg_;
+  CycleFinder cycle_finder_;
   std::unordered_map<db::TxnId, CcTxn*> active_;
   std::unordered_map<db::TxnId, LockTable::Request*> waiting_;
   std::uint64_t deadlocks_ = 0;

@@ -44,25 +44,25 @@ JobId PreemptiveCpu::admit(Duration work, Priority priority, WaitNode* node) {
   job.completion = {};
   job.admit_seq = admit_seq_++;
   ++live_jobs_;
-  reschedule();
+  if (cores_ == 1) {
+    offer(slot);
+  } else {
+    reschedule();
+  }
   return JobId{slot, job.generation};
 }
 
 void PreemptiveCpu::set_priority(JobId id, Priority priority) {
   if (find(id) == nullptr) return;  // job already finished; stale id
   jobs_[id.slot].priority = priority;
-  reschedule();
+  if (cores_ == 1 && id.slot != running_slot_) {
+    offer(id.slot);
+  } else {
+    reschedule();
+  }
 }
 
 bool PreemptiveCpu::job_active(JobId id) const { return find(id) != nullptr; }
-
-std::size_t PreemptiveCpu::running_jobs() const {
-  std::size_t n = 0;
-  for (const Job& j : jobs_) {
-    if (j.live && j.running) ++n;
-  }
-  return n;
-}
 
 Duration PreemptiveCpu::busy_time() const {
   Duration running_now{};
@@ -91,13 +91,15 @@ const PreemptiveCpu::Job* PreemptiveCpu::find(JobId id) const {
 
 void PreemptiveCpu::remove(JobId id) {
   Job& job = get(id);
-  if (job.running) stop_running(job);
+  const bool was_running = job.running;
+  if (was_running) stop_running(job);
   job.live = false;
   job.node = nullptr;
   ++job.generation;
   --live_jobs_;
   free_slots_.push_back(id.slot);
-  reschedule();
+  // On one core a waiting job's departure leaves the strongest job running.
+  if (cores_ != 1 || was_running) reschedule();
 }
 
 void PreemptiveCpu::complete(JobId id) {
@@ -105,6 +107,7 @@ void PreemptiveCpu::complete(JobId id) {
   assert(job.running);
   busy_accum_ += kernel_.now() - job.started;
   job.running = false;
+  running_slot_ = kNoSlot;
   job.remaining = Duration::zero();
   job.completion = {};
   WaitNode* node = job.node;
@@ -117,31 +120,39 @@ void PreemptiveCpu::complete(JobId id) {
   reschedule();
 }
 
+bool PreemptiveCpu::outranks(const Job& a, const Job& b) {
+  if (a.priority != b.priority) return a.priority.higher_than(b.priority);
+  return a.admit_seq < b.admit_seq;
+}
+
+void PreemptiveCpu::offer(std::uint32_t slot) {
+  // Every other live job ranks below the running one, so the newcomer (or
+  // re-prioritised waiter) only has to beat it.
+  Job& job = jobs_[slot];
+  if (running_slot_ != kNoSlot) {
+    Job& running = jobs_[running_slot_];
+    if (!outranks(job, running)) return;
+    stop_running(running);  // free the core before the winner starts
+  }
+  start_running(JobId{slot, job.generation}, job);
+}
+
 void PreemptiveCpu::reschedule() {
-  // This runs on every admit/complete/priority change, so the single-core
-  // configuration (the paper's) gets a sort-free fast path and the general
-  // path reuses a member scratch vector instead of allocating.
+  // The single-core configuration (the paper's) gets a sort-free path; the
+  // general path reuses a member scratch vector instead of allocating.
   if (cores_ == 1) {
     // The strongest live job (priority, then admission order) takes the
-    // core; everyone else is preempted.
-    Job* best = nullptr;
-    std::uint32_t best_slot = 0;
+    // core from whichever job holds it.
+    std::uint32_t best = kNoSlot;
     for (std::uint32_t i = 0; i < jobs_.size(); ++i) {
-      Job& job = jobs_[i];
-      if (!job.live) continue;
-      if (best == nullptr || job.priority.higher_than(best->priority) ||
-          (job.priority == best->priority &&
-           job.admit_seq < best->admit_seq)) {
-        best = &job;
-        best_slot = i;
-      }
+      if (!jobs_[i].live) continue;
+      if (best == kNoSlot || outranks(jobs_[i], jobs_[best])) best = i;
     }
+    if (best == running_slot_) return;
     // Preempt first so the core is free before the winner starts.
-    for (Job& job : jobs_) {
-      if (job.live && job.running && &job != best) stop_running(job);
-    }
-    if (best != nullptr && !best->running) {
-      start_running(JobId{best_slot, best->generation}, *best);
+    if (running_slot_ != kNoSlot) stop_running(jobs_[running_slot_]);
+    if (best != kNoSlot) {
+      start_running(JobId{best, jobs_[best].generation}, jobs_[best]);
     }
     return;
   }
@@ -155,10 +166,7 @@ void PreemptiveCpu::reschedule() {
     if (jobs_[i].live) order.push_back(i);
   }
   std::sort(order.begin(), order.end(), [this](std::uint32_t a, std::uint32_t b) {
-    const Job& ja = jobs_[a];
-    const Job& jb = jobs_[b];
-    if (ja.priority != jb.priority) return ja.priority.higher_than(jb.priority);
-    return ja.admit_seq < jb.admit_seq;
+    return outranks(jobs_[a], jobs_[b]);
   });
   const std::size_t n_run = std::min<std::size_t>(order.size(), cores_);
 
@@ -180,6 +188,7 @@ void PreemptiveCpu::stop_running(Job& job) {
   job.remaining -= done;
   assert(!job.remaining.is_negative());
   job.running = false;
+  running_slot_ = kNoSlot;
   kernel_.cancel_event(job.completion);
   job.completion = {};
 }
@@ -187,6 +196,7 @@ void PreemptiveCpu::stop_running(Job& job) {
 void PreemptiveCpu::start_running(JobId id, Job& job) {
   assert(!job.running);
   job.running = true;
+  running_slot_ = id.slot;
   job.started = kernel_.now();
   job.completion =
       kernel_.schedule_in(job.remaining, [this, id] { complete(id); });

@@ -32,6 +32,11 @@ struct JobId {
 //
 // All scheduling decisions are deterministic: ties are broken by admission
 // order.
+//
+// On a single core the running job is always the strongest live job, so an
+// admission or a priority change of a waiting job is compared with the
+// running job alone; the scan over every slot runs only when the running
+// job completes, is killed, or changes its own priority.
 class PreemptiveCpu : public sim::Waitable {
  public:
   PreemptiveCpu(sim::Kernel& kernel, int cores = 1, std::string name = "cpu");
@@ -77,7 +82,6 @@ class PreemptiveCpu : public sim::Waitable {
 
   int cores() const { return cores_; }
   std::size_t active_jobs() const { return live_jobs_; }
-  std::size_t running_jobs() const;
 
   // Total core-busy virtual time accumulated so far (across all cores).
   sim::Duration busy_time() const;
@@ -102,9 +106,14 @@ class PreemptiveCpu : public sim::Waitable {
   JobId admit(sim::Duration work, sim::Priority priority, sim::WaitNode* node);
   void remove(JobId id);
   void complete(JobId id);
+  // Whether `a` should hold a core in preference to `b`.
+  static bool outranks(const Job& a, const Job& b);
   // Ensures the `cores_` highest-priority live jobs (and only they) are
   // running; charges preempted jobs for the work done so far.
   void reschedule();
+  // Single core: gives the core to the live, waiting job in `slot` if it
+  // outranks the running job.
+  void offer(std::uint32_t slot);
   void stop_running(Job& job);
   void start_running(JobId id, Job& job);
 
@@ -114,6 +123,10 @@ class PreemptiveCpu : public sim::Waitable {
   std::vector<Job> jobs_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::uint32_t> order_scratch_;  // reschedule(), multi-core path
+  // Single core: the slot holding the core, or kNoSlot when idle. Unused
+  // with more cores.
+  static constexpr std::uint32_t kNoSlot = JobId::kInvalid;
+  std::uint32_t running_slot_ = kNoSlot;
   std::size_t live_jobs_ = 0;
   std::uint64_t admit_seq_ = 0;
   mutable sim::Duration busy_accum_{};

@@ -61,6 +61,20 @@ class Rig {
     cc_.on_end(*entry.ctx);
   }
 
+  // Kills every tracked transaction whose process is still alive and
+  // withdraws it from the controller, so a test that leaves transactions
+  // blocked for good tears down while the controller their guards touch
+  // still exists.
+  void abort_stranded() {
+    for (auto& [id, entry] : entries_) {
+      (void)id;
+      if (!kernel_.alive(entry.pid)) continue;
+      kernel_.kill(entry.pid);
+      cc_.release_all(*entry.ctx);
+      cc_.on_end(*entry.ctx);
+    }
+  }
+
   bool hook_aborted(const CcTxn& ctx) const {
     auto it = entries_.find(ctx.id.value);
     return it != entries_.end() && it->second.hook_aborted;

@@ -147,6 +147,72 @@ TEST(CpuTest, SetPriorityBoostCausesPreemption) {
   EXPECT_EQ(mid_done, 14.0);  // 0..3 and 7..14
 }
 
+struct TimedJob {
+  JobId id{};
+  double done_at = -1;
+};
+
+// Executes `work` at `p` from `start`, recording the job id and finish time.
+Task<void> run_job(Kernel& k, PreemptiveCpu& cpu, Duration start,
+                   Duration work, Priority p, TimedJob& job) {
+  co_await k.delay(start);
+  co_await cpu.execute(work, p, &job.id);
+  job.done_at = k.now().as_units();
+}
+
+TEST(CpuTest, LoweringRunningJobHandsCoreToWaiter) {
+  Kernel k;
+  PreemptiveCpu cpu{k};
+  TimedJob a, b;
+  k.spawn("a", run_job(k, cpu, tu(0), tu(10), prio(10), a));
+  k.spawn("b", run_job(k, cpu, tu(0), tu(4), prio(20), b));
+  k.schedule_in(tu(3), [&] { cpu.set_priority(a.id, prio(30)); });
+  k.run();
+  EXPECT_EQ(b.done_at, 7.0);   // took the core at 3
+  EXPECT_EQ(a.done_at, 14.0);  // 0..3 and 7..14
+}
+
+TEST(CpuTest, KillingPreemptedJobKeepsRunnerFinishTime) {
+  Kernel k;
+  PreemptiveCpu cpu{k};
+  TimedJob low, high;
+  auto victim = k.spawn("low", run_job(k, cpu, tu(0), tu(10), prio(20), low));
+  k.spawn("high", run_job(k, cpu, tu(2), tu(5), prio(10), high));
+  k.schedule_in(tu(4), [&] { k.kill(victim); });
+  k.run();
+  EXPECT_EQ(high.done_at, 7.0);
+  EXPECT_EQ(low.done_at, -1.0);
+  EXPECT_EQ(cpu.busy_time(), tu(7));
+  EXPECT_EQ(cpu.active_jobs(), 0u);
+}
+
+TEST(CpuTest, BoostToRunnerPriorityKeepsAdmissionOrder) {
+  Kernel k;
+  PreemptiveCpu cpu{k};
+  TimedJob first, second;
+  k.spawn("first", run_job(k, cpu, tu(0), tu(5), prio(10), first));
+  k.spawn("second", run_job(k, cpu, tu(0), tu(5), prio(20), second));
+  // Equal priority: the earlier admission keeps the core.
+  k.schedule_in(tu(2), [&] { cpu.set_priority(second.id, prio(10)); });
+  k.run();
+  EXPECT_EQ(first.done_at, 5.0);
+  EXPECT_EQ(second.done_at, 10.0);
+}
+
+TEST(CpuTest, BoostToRunnerPriorityPreemptsLaterAdmission) {
+  Kernel k;
+  PreemptiveCpu cpu{k};
+  TimedJob early, late;
+  k.spawn("early", run_job(k, cpu, tu(0), tu(5), prio(20), early));
+  k.spawn("late", run_job(k, cpu, tu(1), tu(5), prio(10), late));
+  // At 2 the preempted, earlier-admitted job reaches the runner's priority
+  // and wins the tie.
+  k.schedule_in(tu(2), [&] { cpu.set_priority(early.id, prio(10)); });
+  k.run();
+  EXPECT_EQ(early.done_at, 6.0);  // 0..1 and 2..6
+  EXPECT_EQ(late.done_at, 10.0);  // 1..2 and 6..10
+}
+
 TEST(CpuTest, SetPriorityOnStaleIdIsIgnored) {
   Kernel k;
   PreemptiveCpu cpu{k};
