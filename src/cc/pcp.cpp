@@ -40,7 +40,7 @@ void PriorityCeiling::do_begin(CcTxn& txn) {
   // New declarations only *raise* ceilings, so nothing becomes grantable —
   // but a raise can redirect which lock blocks an existing waiter, which
   // is exactly the (dynamic-arrival) way a blocking cycle can close.
-  if (options_.deadlock_backstop) stabilize(nullptr);
+  stabilize(nullptr);
 }
 
 void PriorityCeiling::do_end(CcTxn& txn) {
@@ -384,16 +384,14 @@ bool PriorityCeiling::stabilize(const CcTxn* requester) {
     do {
       update_inheritance();
     } while (grant_pass());
-    if (options_.deadlock_backstop) {
-      switch (resolve_dynamic_deadlock(requester)) {
-        case Backstop::kQuiet:
-          break;
-        case Backstop::kAborted:
-          restabilize_ = true;
-          break;
-        case Backstop::kAbortedRunning:
-          return true;
-      }
+    switch (resolve_dynamic_deadlock(requester)) {
+      case Backstop::kQuiet:
+        break;
+      case Backstop::kAborted:
+        restabilize_ = true;
+        break;
+      case Backstop::kAbortedRunning:
+        return true;
     }
   } while (restabilize_);
   return false;

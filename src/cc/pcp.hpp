@@ -46,16 +46,14 @@ namespace rtdb::cc {
 // retroactively invalidate the grant-time invariant and (rarely) close a
 // ceiling-blocking cycle. In the paper's full system such a cycle simply
 // dissolves when a participant's hard deadline expires; at the protocol
-// layer this implementation additionally offers a backstop
-// (Options::deadlock_backstop, on by default) that detects the cycle and
-// aborts its lowest-priority member, counted in dynamic_deadlocks(). For
-// static task sets — every scenario from the paper's examples — the
-// backstop never fires, which the tests assert.
+// layer this implementation additionally runs a backstop, always on, that
+// detects the cycle and aborts its lowest-priority member, counted in
+// dynamic_deadlocks(). For static task sets — every scenario from the
+// paper's examples — the backstop never fires, which the tests assert.
 class PriorityCeiling : public ConcurrencyController {
  public:
   struct Options {
     bool exclusive_only = false;
-    bool deadlock_backstop = true;
   };
 
   PriorityCeiling(sim::Kernel& kernel, std::uint32_t object_count)

@@ -102,10 +102,6 @@ struct SystemConfig {
   // ---- concurrency control ----
   Protocol protocol = Protocol::kPriorityCeiling;
   DistScheme scheme = DistScheme::kSingleSite;
-  // Data placement under kGlobalCeiling: false (default) = the paper's
-  // fully replicated database with synchronous updates at commit; true =
-  // partitioned single-copy data with remote reads (extension).
-  bool global_partitioned = false;
   // kPartitionedCeiling: ceiling-manager shards (0 = one per site, capped
   // at 8) and how objects map onto them. Shard s's initial manager is site
   // s, so shards never exceeds the site count.
@@ -122,10 +118,6 @@ struct SystemConfig {
   cc::TwoPhaseLocking::VictimPolicy victim_policy =
       cc::TwoPhaseLocking::VictimPolicy::kLowestPriority;
   sim::Duration restart_backoff = sim::Duration::units(1);
-  // PCP dynamic-arrival backstop (see cc/pcp.hpp). Off = rely on deadline
-  // aborts to dissolve the (rare) arrival-induced cycles, as the 1990
-  // study implicitly did.
-  bool pcp_deadlock_backstop = true;
 
   // ---- fault injection (distributed schemes; see net/fault.hpp) ----
   // All fault decisions draw from a stream forked off `seed`, so a zero

@@ -224,60 +224,21 @@ RunResult ExperimentRunner::run_once(const SystemConfig& config) {
   }
   System system{config};
   system.run_to_completion();
-  RunResult result;
+  RunResult result = system.counters();
   result.metrics = system.metrics();
-  result.restarts = system.total_restarts();
-  result.deadline_kills = system.total_deadline_kills();
-  result.protocol_aborts = system.total_protocol_aborts();
-  result.ceiling_denials = system.total_ceiling_denials();
-  result.dynamic_deadlocks = system.total_dynamic_deadlocks();
-  result.elapsed = system.kernel().now() - sim::TimePoint::origin();
-  result.commit_rounds = system.total_commit_rounds();
-  result.commit_aborts = system.total_commit_aborts();
-  result.vote_timeouts = system.total_vote_timeouts();
-  result.presumed_aborts = system.total_presumed_aborts();
-  if (const net::Network* net = system.network(); net != nullptr) {
-    result.fault_drops = net->fault_drops();
-    result.fault_dups = net->fault_duplicates();
-    result.msgs_dropped = net->messages_dropped();
-  }
-  result.crashes = system.crashes();
-  result.crash_kills = system.total_crash_kills();
-  result.versions_recovered = system.total_versions_recovered();
-  result.retransmissions = system.total_retransmissions();
-  result.backoff_wait_units = system.total_backoff_wait().as_units();
-  result.failovers = system.total_failovers();
-  result.termination_queries = system.total_termination_queries();
-  result.termination_resolutions = system.total_termination_resolutions();
-  result.orphan_locks_reclaimed = system.total_orphan_locks_reclaimed();
-  result.admitted = system.total_admitted();
-  result.shed = system.total_shed();
-  result.lease_expiries = system.total_lease_expiries();
-  result.stale_grants_rejected = system.total_stale_grants_rejected();
-  result.partition_drops = system.total_partition_drops();
-  result.batched_messages = system.total_batched_messages();
-  result.batch_flushes = system.total_batch_flushes();
-  result.shard_migrations = system.total_shard_migrations();
   if (config.faults.active()) {
     result.invariant_violations = system.invariant_violations();
   }
   result.bound_blocking_units =
       analysis::analyze(config).worst_bound_units();
-  if (const check::ConformanceMonitor* mon = system.conformance()) {
-    result.conformance_violations = mon->violations();
-    result.wait_cycles_detected = mon->wait_cycles_detected();
-    result.max_inversion_span_units = mon->max_inversion_span_units();
-    result.observed_max_blocking_units = mon->observed_max_blocking_units();
-    result.bound_violations = mon->bound_violations();
-    if (mon->violations() > 0 || mon->bound_violations() > 0) {
-      // Sweep workers call run_once concurrently; keep the reports whole.
-      static std::mutex report_mutex;
-      const std::lock_guard<std::mutex> guard(report_mutex);
-      std::cerr << "[check] seed " << config.seed << ", protocol "
-                << to_string(config.protocol) << ", scheme "
-                << to_string(config.scheme) << ":\n"
-                << mon->format_reports();
-    }
+  if (result.conformance_violations > 0 || result.bound_violations > 0) {
+    // Sweep workers call run_once concurrently; keep the reports whole.
+    static std::mutex report_mutex;
+    const std::lock_guard<std::mutex> guard(report_mutex);
+    std::cerr << "[check] seed " << config.seed << ", protocol "
+              << to_string(config.protocol) << ", scheme "
+              << to_string(config.scheme) << ":\n"
+              << system.conformance()->format_reports();
   }
   return result;
 }

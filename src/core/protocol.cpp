@@ -9,8 +9,7 @@ namespace rtdb::core {
 
 std::unique_ptr<cc::ConcurrencyController> make_controller(
     sim::Kernel& kernel, Protocol protocol, std::uint32_t object_count,
-    cc::TwoPhaseLocking::VictimPolicy victim_policy,
-    bool pcp_deadlock_backstop) {
+    cc::TwoPhaseLocking::VictimPolicy victim_policy) {
   switch (protocol) {
     case Protocol::kTwoPhase:
       return std::make_unique<cc::TwoPhaseLocking>(
@@ -22,13 +21,10 @@ std::unique_ptr<cc::ConcurrencyController> make_controller(
           cc::TwoPhaseLocking::Options{cc::LockTable::QueuePolicy::kPriority,
                                        false, victim_policy});
     case Protocol::kPriorityCeiling:
-      return std::make_unique<cc::PriorityCeiling>(
-          kernel, object_count,
-          cc::PriorityCeiling::Options{false, pcp_deadlock_backstop});
+      return std::make_unique<cc::PriorityCeiling>(kernel, object_count);
     case Protocol::kPriorityCeilingExclusive:
       return std::make_unique<cc::PriorityCeiling>(
-          kernel, object_count,
-          cc::PriorityCeiling::Options{true, pcp_deadlock_backstop});
+          kernel, object_count, cc::PriorityCeiling::Options{true});
     case Protocol::kPriorityInheritance:
       return std::make_unique<cc::PriorityInheritance2PL>(kernel,
                                                           victim_policy);

@@ -21,8 +21,7 @@ namespace rtdb::core {
 // (granules), on `kernel`'s clock and processes.
 std::unique_ptr<cc::ConcurrencyController> make_controller(
     sim::Kernel& kernel, Protocol protocol, std::uint32_t object_count,
-    cc::TwoPhaseLocking::VictimPolicy victim_policy,
-    bool pcp_deadlock_backstop);
+    cc::TwoPhaseLocking::VictimPolicy victim_policy);
 
 // Attaches the audit `protocol`'s controller is checked against: its lock
 // family's rules, or the timestamp shadow for timestamp ordering.

@@ -24,8 +24,6 @@ db::Placement placement_for(const SystemConfig& config) {
     case DistScheme::kSingleSite:
       return db::Placement::kSingleSite;
     case DistScheme::kGlobalCeiling:
-      return config.global_partitioned ? db::Placement::kPartitioned
-                                       : db::Placement::kFullyReplicated;
     case DistScheme::kLocalCeiling:
       return db::Placement::kFullyReplicated;
     case DistScheme::kPartitionedCeiling:
@@ -68,21 +66,6 @@ void for_each_failover(const System::Site& site, F f) {
       f(shard, *site.shard_failovers[shard]);
     }
   }
-}
-
-// The site controller when it runs PCP itself (single-site and local
-// schemes), else nullptr.
-const cc::PriorityCeiling* local_pcp(const System::Site& site) {
-  return dynamic_cast<const cc::PriorityCeiling*>(site.cc.get());
-}
-
-// The per-site fold behind the total_*() counters: f(site) summed over
-// every site.
-template <typename F>
-auto sum_sites(const std::vector<System::Site>& sites, F f) {
-  decltype(f(sites.front())) total{};
-  for (const System::Site& site : sites) total += f(site);
-  return total;
 }
 
 }  // namespace
@@ -177,8 +160,7 @@ System::Site System::make_site_base(net::SiteId id) {
 void System::build_single_site() {
   Site site = make_site_base(0);
   site.cc = make_controller(kernel_, config_.protocol, config_.db_objects,
-                            config_.victim_policy,
-                            config_.pcp_deadlock_backstop);
+                            config_.victim_policy);
   site.executor = std::make_unique<txn::LocalExecutor>(
       txn::LocalExecutor::Services{
           &kernel_, site.cpu.get(), site.rm.get(), site.cc.get(),
@@ -214,9 +196,8 @@ void System::build_local_ceiling() {
             faulty ? 3 : 1,
             faulty ? config_.heartbeat_interval * 2 : sim::Duration::zero()},
         site.channel.get());
-    site.cc = std::make_unique<cc::PriorityCeiling>(
-        kernel_, config_.db_objects,
-        cc::PriorityCeiling::Options{false, config_.pcp_deadlock_backstop});
+    site.cc =
+        std::make_unique<cc::PriorityCeiling>(kernel_, config_.db_objects);
     site.executor = std::make_unique<dist::ReplicatedExecutor>(
         dist::ReplicatedExecutor::Services{
             &kernel_, site.cpu.get(), site.rm.get(), site.cc.get(),
@@ -562,182 +543,80 @@ stats::Metrics System::metrics() const {
                                  kernel_.now() - sim::TimePoint::origin());
 }
 
-std::uint64_t System::total_restarts() const {
-  return sum_sites(sites_, [](const Site& s) { return s.tm->restarts(); });
-}
-
-std::uint64_t System::total_deadline_kills() const {
-  return sum_sites(sites_,
-                   [](const Site& s) { return s.tm->deadline_kills(); });
-}
-
-std::uint64_t System::total_protocol_aborts() const {
-  return sum_sites(sites_, [](const Site& s) {
-    std::uint64_t n = s.cc->protocol_aborts();
-    for_each_manager(s, [&n](std::uint32_t, const auto& m) {
-      n += m.protocol().protocol_aborts();
+RunResult System::counters() const {
+  RunResult r;
+  sim::Duration backoff_wait{};
+  for (const Site& s : sites_) {
+    r.restarts += s.tm->restarts();
+    r.deadline_kills += s.tm->deadline_kills();
+    r.crash_kills += s.tm->crash_kills();
+    r.admitted += s.tm->admitted();
+    r.shed += s.tm->shed();
+    r.protocol_aborts += s.cc->protocol_aborts();
+    // The site controller runs PCP itself under the single-site and local
+    // schemes; under the global and partitioned ones it is the remote
+    // ceiling client, and the managers below run PCP.
+    if (const auto* pcp =
+            dynamic_cast<const cc::PriorityCeiling*>(s.cc.get())) {
+      r.ceiling_denials += pcp->ceiling_denials();
+      r.dynamic_deadlocks += pcp->dynamic_deadlocks();
+    } else if (const auto* client =
+                   dynamic_cast<const dist::PartitionedCeilingClient*>(
+                       s.cc.get())) {
+      r.stale_grants_rejected += client->stale_grants_rejected();
+    }
+    for_each_manager(s, [&r](std::uint32_t, const auto& m) {
+      r.protocol_aborts += m.protocol().protocol_aborts();
+      r.ceiling_denials += m.protocol().ceiling_denials();
+      r.dynamic_deadlocks += m.protocol().dynamic_deadlocks();
+      r.orphan_locks_reclaimed += m.orphan_locks_reclaimed();
     });
-    return n;
-  });
-}
-
-std::uint64_t System::total_ceiling_denials() const {
-  return sum_sites(sites_, [](const Site& s) {
-    const cc::PriorityCeiling* pcp = local_pcp(s);
-    std::uint64_t n = pcp != nullptr ? pcp->ceiling_denials() : 0;
-    for_each_manager(s, [&n](std::uint32_t, const auto& m) {
-      n += m.protocol().ceiling_denials();
+    for_each_failover(s, [&r](std::uint32_t, const auto& f) {
+      r.failovers += f.promotions();
+      r.lease_expiries += f.lease_expiries();
     });
-    return n;
-  });
-}
-
-std::uint64_t System::total_dynamic_deadlocks() const {
-  return sum_sites(sites_, [](const Site& s) {
-    const cc::PriorityCeiling* pcp = local_pcp(s);
-    std::uint64_t n = pcp != nullptr ? pcp->dynamic_deadlocks() : 0;
-    for_each_manager(s, [&n](std::uint32_t, const auto& m) {
-      n += m.protocol().dynamic_deadlocks();
-    });
-    return n;
-  });
-}
-
-std::uint64_t System::total_crash_kills() const {
-  return sum_sites(sites_, [](const Site& s) { return s.tm->crash_kills(); });
-}
-
-std::uint64_t System::total_commit_rounds() const {
-  return sum_sites(sites_, [](const Site& s) {
-    return s.coordinator != nullptr ? s.coordinator->rounds() : 0;
-  });
-}
-
-std::uint64_t System::total_commit_aborts() const {
-  return sum_sites(sites_, [](const Site& s) {
-    return s.coordinator != nullptr ? s.coordinator->aborts() : 0;
-  });
-}
-
-std::uint64_t System::total_vote_timeouts() const {
-  return sum_sites(sites_, [](const Site& s) {
-    return s.coordinator != nullptr ? s.coordinator->vote_timeouts() : 0;
-  });
-}
-
-std::uint64_t System::total_presumed_aborts() const {
-  return sum_sites(sites_, [](const Site& s) {
-    return s.data_server != nullptr ? s.data_server->presumed_aborts() : 0;
-  });
-}
-
-std::uint64_t System::total_versions_recovered() const {
-  return sum_sites(sites_, [](const Site& s) {
-    return s.recovery != nullptr ? s.recovery->versions_recovered() : 0;
-  });
-}
-
-std::uint64_t System::total_retransmissions() const {
-  return sum_sites(sites_, [](const Site& s) {
-    return s.channel != nullptr ? s.channel->retransmissions() : 0;
-  });
-}
-
-sim::Duration System::total_backoff_wait() const {
-  return sum_sites(sites_, [](const Site& s) {
-    return s.channel != nullptr ? s.channel->backoff_wait() : sim::Duration{};
-  });
-}
-
-std::uint64_t System::total_failovers() const {
-  return sum_sites(sites_, [](const Site& s) {
-    std::uint64_t n = 0;
-    for_each_failover(s, [&n](std::uint32_t, const auto& f) {
-      n += f.promotions();
-    });
-    return n;
-  });
-}
-
-std::uint64_t System::total_termination_queries() const {
-  return sum_sites(sites_, [](const Site& s) {
-    return s.data_server != nullptr ? s.data_server->termination_queries() : 0;
-  });
-}
-
-std::uint64_t System::total_termination_resolutions() const {
-  return sum_sites(sites_, [](const Site& s) {
-    return s.data_server != nullptr ? s.data_server->termination_resolutions()
-                                    : 0;
-  });
-}
-
-std::uint64_t System::total_orphan_locks_reclaimed() const {
-  return sum_sites(sites_, [](const Site& s) {
-    std::uint64_t n = 0;
-    for_each_manager(s, [&n](std::uint32_t, const auto& m) {
-      n += m.orphan_locks_reclaimed();
-    });
-    return n;
-  });
-}
-
-std::uint64_t System::total_partition_drops() const {
-  return network_ != nullptr ? network_->partition_drops() : 0;
-}
-
-std::uint64_t System::total_lease_expiries() const {
-  return sum_sites(sites_, [](const Site& s) {
-    std::uint64_t n = 0;
-    for_each_failover(s, [&n](std::uint32_t, const auto& f) {
-      n += f.lease_expiries();
-    });
-    return n;
-  });
-}
-
-std::uint64_t System::total_fence_denials() const {
-  return sum_sites(sites_, [](const Site& s) {
-    std::uint64_t n = 0;
-    for_each_manager(s, [&n](std::uint32_t, const auto& m) {
-      n += m.fence_denials();
-    });
-    return n;
-  });
-}
-
-std::uint64_t System::total_stale_grants_rejected() const {
-  return sum_sites(sites_, [](const Site& s) {
-    const auto* client =
-        dynamic_cast<const dist::PartitionedCeilingClient*>(s.cc.get());
-    return client != nullptr ? client->stale_grants_rejected() : 0;
-  });
-}
-
-std::uint64_t System::total_batched_messages() const {
-  return sum_sites(sites_, [](const Site& s) {
-    return s.batch != nullptr ? s.batch->batched_messages() : 0;
-  });
-}
-
-std::uint64_t System::total_batch_flushes() const {
-  return sum_sites(sites_, [](const Site& s) {
-    return s.batch != nullptr ? s.batch->batch_flushes() : 0;
-  });
-}
-
-std::uint64_t System::total_shard_migrations() const {
-  // A global-scheme promotion is a failover, never a shard migration.
-  if (config_.scheme != DistScheme::kPartitionedCeiling) return 0;
-  return total_failovers();
-}
-
-std::uint64_t System::total_admitted() const {
-  return sum_sites(sites_, [](const Site& s) { return s.tm->admitted(); });
-}
-
-std::uint64_t System::total_shed() const {
-  return sum_sites(sites_, [](const Site& s) { return s.tm->shed(); });
+    if (s.coordinator != nullptr) {
+      r.commit_rounds += s.coordinator->rounds();
+      r.commit_aborts += s.coordinator->aborts();
+      r.vote_timeouts += s.coordinator->vote_timeouts();
+    }
+    if (s.data_server != nullptr) {
+      r.presumed_aborts += s.data_server->presumed_aborts();
+      r.termination_queries += s.data_server->termination_queries();
+      r.termination_resolutions += s.data_server->termination_resolutions();
+    }
+    if (s.recovery != nullptr) {
+      r.versions_recovered += s.recovery->versions_recovered();
+    }
+    if (s.channel != nullptr) {
+      r.retransmissions += s.channel->retransmissions();
+      backoff_wait += s.channel->backoff_wait();
+    }
+    if (s.batch != nullptr) {
+      r.batched_messages += s.batch->batched_messages();
+      r.batch_flushes += s.batch->batch_flushes();
+    }
+  }
+  r.backoff_wait_units = backoff_wait.as_units();
+  if (config_.scheme == DistScheme::kPartitionedCeiling) {
+    r.shard_migrations = r.failovers;
+  }
+  if (network_ != nullptr) {
+    r.fault_drops = network_->fault_drops();
+    r.fault_dups = network_->fault_duplicates();
+    r.msgs_dropped = network_->messages_dropped();
+    r.partition_drops = network_->partition_drops();
+  }
+  r.crashes = crashes_;
+  r.elapsed = kernel_.now() - sim::TimePoint::origin();
+  if (conformance_ != nullptr) {
+    r.conformance_violations = conformance_->violations();
+    r.wait_cycles_detected = conformance_->wait_cycles_detected();
+    r.max_inversion_span_units = conformance_->max_inversion_span_units();
+    r.observed_max_blocking_units = conformance_->observed_max_blocking_units();
+    r.bound_violations = conformance_->bound_violations();
+  }
+  return r;
 }
 
 std::uint64_t System::invariant_violations(std::string* why) const {

@@ -9,6 +9,7 @@
 #include "cc/serializability.hpp"
 #include "check/monitor.hpp"
 #include "core/config.hpp"
+#include "core/run_result.hpp"
 #include "db/database.hpp"
 #include "db/resource_manager.hpp"
 #include "dist/failover.hpp"
@@ -121,43 +122,39 @@ class System {
   // surviving transactions resumed, replica catch-up requested.
   void restore_site(net::SiteId site);
 
-  // ---- aggregate protocol counters (summed over sites) ----
-  std::uint64_t total_restarts() const;
-  std::uint64_t total_deadline_kills() const;
-  std::uint64_t total_protocol_aborts() const;
-  // PCP-specific (0 for other protocols).
-  std::uint64_t total_ceiling_denials() const;
-  std::uint64_t total_dynamic_deadlocks() const;
-  // Fault/commit counters (0 outside the schemes that produce them).
-  std::uint64_t crashes() const { return crashes_; }
-  std::uint64_t total_crash_kills() const;
-  std::uint64_t total_commit_rounds() const;
-  std::uint64_t total_commit_aborts() const;
-  std::uint64_t total_vote_timeouts() const;
-  std::uint64_t total_presumed_aborts() const;
-  std::uint64_t total_versions_recovered() const;
-  // Resilience counters (0 in fault-free runs, where the reliable channel
-  // is a passthrough and no failover machinery is built).
-  std::uint64_t total_retransmissions() const;
-  sim::Duration total_backoff_wait() const;
-  std::uint64_t total_failovers() const;
-  std::uint64_t total_termination_queries() const;
-  std::uint64_t total_termination_resolutions() const;
-  std::uint64_t total_orphan_locks_reclaimed() const;
-  // Partition / lease / admission counters (0 without the matching knobs).
-  std::uint64_t total_partition_drops() const;
-  std::uint64_t total_lease_expiries() const;
-  std::uint64_t total_fence_denials() const;
-  std::uint64_t total_stale_grants_rejected() const;
-  std::uint64_t total_admitted() const;
-  std::uint64_t total_shed() const;
-  // Batching counters (0 with batch_window zero, where the channel is a
-  // passthrough) and shard-manager migrations (elections moving a shard's
-  // manager off its initial site; 0 outside the partitioned scheme — a
-  // global-scheme promotion counts in total_failovers only).
-  std::uint64_t total_batched_messages() const;
-  std::uint64_t total_batch_flushes() const;
-  std::uint64_t total_shard_migrations() const;
+  // ---- run counters ----
+  // Every counter field of a RunResult in one pass over the sites (their
+  // transaction managers, controllers, commit machinery and channels, and
+  // the ceiling managers and failover coordinators they host), plus the
+  // network's drop counts, crashes, the elapsed clock and, when the
+  // conformance monitor is attached, its readings. A counter whose layer
+  // the scheme does not build stays 0, and shard_migrations is 0 outside
+  // the partitioned scheme (a global-scheme promotion is a failover only).
+  // metrics, invariant_violations and bound_blocking_units are left to
+  // ExperimentRunner::run_once.
+  RunResult counters() const;
+
+  // Read by perfbench/src/workloads.cpp only; delete them at the next
+  // change to the benchmark, which reads counters() instead.
+  std::uint64_t total_restarts() const { return counters().restarts; }
+  std::uint64_t total_deadline_kills() const {
+    return counters().deadline_kills;
+  }
+  std::uint64_t total_dynamic_deadlocks() const {
+    return counters().dynamic_deadlocks;
+  }
+  std::uint64_t total_commit_rounds() const { return counters().commit_rounds; }
+  std::uint64_t total_retransmissions() const {
+    return counters().retransmissions;
+  }
+  std::uint64_t total_batched_messages() const {
+    return counters().batched_messages;
+  }
+  std::uint64_t total_batch_flushes() const { return counters().batch_flushes; }
+  std::uint64_t total_failovers() const { return counters().failovers; }
+  std::uint64_t total_shard_migrations() const {
+    return counters().shard_migrations;
+  }
 
   // Ceiling-manager shards actually built: under the partitioned scheme
   // config.shards clamped to the site count (default one per site capped

@@ -13,8 +13,7 @@ namespace rtdb::rt {
 RtLockTable::RtLockTable(Options options, ThreadBackend& backend)
     : backend_(backend),
       cc_(core::make_controller(kernel_, options.protocol,
-                                options.object_count, options.victim_policy,
-                                options.pcp_deadlock_backstop)) {
+                                options.object_count, options.victim_policy)) {
   cc_->set_hooks(cc::ControllerHooks{
       [this](db::TxnId victim, cc::AbortReason reason) {
         abort_attempt(victim, reason);

@@ -93,7 +93,6 @@ class RtLockTable {
     std::uint32_t object_count = 0;  // granule count
     cc::TwoPhaseLocking::VictimPolicy victim_policy =
         cc::TwoPhaseLocking::VictimPolicy::kLowestPriority;
-    bool pcp_deadlock_backstop = true;
     // Attach the ConformanceMonitor.
     bool audit = false;
     // The monitor's blocking-bound gate (zero = measure only). Includes

@@ -184,7 +184,6 @@ RtRunResult run_threaded(const core::SystemConfig& config,
   const std::uint32_t granules =
       (config.db_objects + granularity - 1) / granularity;
   RtLockTable table{{config.protocol, granules, config.victim_policy,
-                     config.pcp_deadlock_backstop,
                      config.conformance_check || config.bounds_check,
                      runner_config.bound_gate},
                     backend};

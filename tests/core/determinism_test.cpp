@@ -26,7 +26,7 @@ Signature run_signature(SystemConfig cfg) {
                    m.throughput_objects_per_sec,
                    system.kernel().now().as_ticks(),
                    system.kernel().events_executed(),
-                   system.total_protocol_aborts()};
+                   system.counters().protocol_aborts};
 }
 
 SystemConfig config_for(Protocol protocol, DistScheme scheme) {

@@ -155,8 +155,10 @@ TEST(SystemIntegration, LocalBeatsGlobalUnderLoad) {
 }
 
 TEST(SystemIntegration, GlobalPartitionedExtensionWorks) {
-  SystemConfig cfg = distributed(DistScheme::kGlobalCeiling, 10, 1);
-  cfg.global_partitioned = true;
+  // One global ceiling manager over partitioned single-copy data with
+  // remote reads: the partitioned scheme at one shard.
+  SystemConfig cfg = distributed(DistScheme::kPartitionedCeiling, 10, 1);
+  cfg.shards = 1;
   System system{cfg};
   system.run_to_completion();
   const auto m = system.metrics();

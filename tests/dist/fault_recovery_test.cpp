@@ -43,11 +43,12 @@ TEST(SystemFaultTest, LocalSchemeCrashReplaysLostUpdatesViaRecovery) {
   core::System system{cfg};
   system.run_to_completion();
 
-  EXPECT_EQ(system.crashes(), 1u);
-  EXPECT_GT(system.total_crash_kills(), 0u);  // it had work in flight
+  const core::RunResult counters = system.counters();
+  EXPECT_EQ(counters.crashes, 1u);
+  EXPECT_GT(counters.crash_kills, 0u);  // it had work in flight
   // Updates committed at sites 0/1 during the outage were lost at 2 and
   // replayed by the catch-up round.
-  EXPECT_GT(system.total_versions_recovered(), 0u);
+  EXPECT_GT(counters.versions_recovered, 0u);
   // Every copy converged: the catch-up covers the outage, normal
   // propagation covers everything after it.
   for (db::ObjectId o = 0; o < system.schema().object_count(); ++o) {
@@ -70,15 +71,16 @@ TEST(SystemFaultTest, GlobalSchemeCrashAbortsDeadSiteTransactions) {
   core::System system{cfg};
   system.run_to_completion();
 
-  EXPECT_EQ(system.crashes(), 1u);
-  EXPECT_GT(system.total_crash_kills(), 0u);
+  const core::RunResult counters = system.counters();
+  EXPECT_EQ(counters.crashes, 1u);
+  EXPECT_GT(counters.crash_kills, 0u);
   // The global manager freed the dead site's locks (idealized failure
   // detection), so the survivors drained: nothing is left registered.
   ASSERT_NE(system.site(0).shard_managers[0], nullptr);
   EXPECT_EQ(system.site(0).shard_managers[0]->live_mirrors(), 0u);
   // While site 2 was down its 2PC votes never arrived: replicated commits
   // at the surviving sites aborted on the vote timeout.
-  EXPECT_GT(system.total_vote_timeouts(), 0u);
+  EXPECT_GT(counters.vote_timeouts, 0u);
   EXPECT_EQ(system.monitor().processed(), system.monitor().records().size());
 }
 
@@ -101,6 +103,7 @@ TEST(SystemFaultTest, FaultScheduleIsAPureFunctionOfTheSeed) {
   EXPECT_EQ(a.presumed_aborts, b.presumed_aborts);
   EXPECT_EQ(a.elapsed, b.elapsed);
   EXPECT_GT(a.fault_drops, 0u);  // the knobs actually did something
+  EXPECT_GT(a.fault_dups, 0u);
 }
 
 TEST(SystemFaultTest, ZeroFaultSpecIsBitIdenticalToBaseline) {

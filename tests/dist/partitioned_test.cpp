@@ -116,10 +116,11 @@ TEST(PartitionedSchemeTest, BatchingCoalescesControlTraffic) {
   core::System system{cfg};
   system.run_to_completion();
   EXPECT_GT(system.metrics().committed, 0u);
-  EXPECT_GT(system.total_batched_messages(), 0u);
-  EXPECT_GT(system.total_batch_flushes(), 0u);
+  const core::RunResult counters = system.counters();
+  EXPECT_GT(counters.batched_messages, 0u);
+  EXPECT_GT(counters.batch_flushes, 0u);
   // Frames coalesce: strictly fewer flushes than payloads batched.
-  EXPECT_LT(system.total_batch_flushes(), system.total_batched_messages());
+  EXPECT_LT(counters.batch_flushes, counters.batched_messages);
   EXPECT_EQ(system.invariant_violations(), 0u);
 }
 
@@ -134,9 +135,10 @@ TEST(PartitionedSchemeTest, ShardManagerCrashFailsOverThatShardOnly) {
   core::System system{cfg};
   system.run_to_completion();
 
-  EXPECT_EQ(system.crashes(), 1u);
+  const core::RunResult counters = system.counters();
+  EXPECT_EQ(counters.crashes, 1u);
   // Exactly shard 1's election promoted a successor.
-  EXPECT_GE(system.total_shard_migrations(), 1u);
+  EXPECT_GE(counters.shard_migrations, 1u);
   // Work kept committing after the crash on the surviving sites.
   EXPECT_GT(system.metrics().committed, 0u);
   std::string why;
@@ -158,7 +160,7 @@ TEST(PartitionedSchemeTest, BatchedChaosRunStaysClean) {
   system.run_to_completion();
 
   EXPECT_GT(system.metrics().committed, 0u);
-  EXPECT_GT(system.total_batched_messages(), 0u);
+  EXPECT_GT(system.counters().batched_messages, 0u);
   std::string why;
   EXPECT_EQ(system.invariant_violations(&why), 0u) << why;
   EXPECT_EQ(system.conformance()->violations(), 0u)
