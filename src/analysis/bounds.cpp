@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "dist/election.hpp"
+
 namespace rtdb::analysis {
 
 namespace {
@@ -97,7 +99,7 @@ bool compute_margin(const core::SystemConfig& config, sim::Duration* margin,
       // Failure detection + promotion window before a successor manager
       // resumes granting (dist/failover.hpp).
       *margin += config.heartbeat_interval *
-                 (static_cast<std::int64_t>(config.heartbeat_miss_threshold) +
+                 (static_cast<std::int64_t>(dist::kHeartbeatMissThreshold) +
                   2);
     }
     for (const net::FaultSpec::Crash& crash : config.faults.crashes) {

@@ -16,7 +16,7 @@ namespace rtdb::cc {
 struct CcTxn {
   db::TxnId id{};
   // 1-based attempt number stamped by the transaction manager; 0 for
-  // contexts built outside it (unit tests, legacy callers). Distributed
+  // contexts built outside it (unit tests). Distributed
   // protocols stamp it into control messages so a retransmitted message
   // from an aborted attempt can't corrupt the state of the current one.
   std::uint32_t attempt = 0;

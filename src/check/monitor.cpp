@@ -11,8 +11,7 @@ ConformanceMonitor::ConformanceMonitor(sim::Kernel& kernel, Options options)
     : kernel_(kernel),
       options_(options),
       ring_(options.trace_capacity),
-      commit_audit_(*this),
-      lease_audit_(*this) {}
+      commit_audit_(*this) {}
 
 void ConformanceMonitor::attach(cc::ConcurrencyController& controller,
                                 ProtocolFamily family) {

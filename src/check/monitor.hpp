@@ -64,15 +64,14 @@ class ConformanceMonitor {
   // set_observer. One instance serves every site.
   txn::CommitObserver* commit_observer() { return &commit_audit_; }
 
-  // The shared lease audit, for FailoverCoordinator::set_observer and
-  // GlobalCeilingManager::set_lease_observer. One instance sees every
-  // site's lease events, which is exactly what lets it detect two holders.
-  dist::LeaseObserver* lease_observer() { return &lease_audit_; }
-
-  // Partitioned scheme: one lease audit per shard. Each shard's election
-  // runs an independent term space, so a shared audit would see two
-  // legitimate holders; a per-shard instance keeps the single-holder rule
-  // exact within the shard. Lazily created; stable for the monitor's life.
+  // The lease audit of one shard, for FailoverCoordinator::set_observer,
+  // GlobalCeilingManager::set_lease_observer and the ceiling client. One
+  // instance sees every site's lease events for the shard, which is
+  // exactly what lets it detect two holders. Each shard's election runs an
+  // independent term space, so a shared audit would see two legitimate
+  // holders; a per-shard instance keeps the single-holder rule exact
+  // within the shard (the global scheme is shard 0). Lazily created;
+  // stable for the monitor's life.
   dist::LeaseObserver* lease_observer(std::uint32_t shard);
 
   // Arms the blocking-bound gate (src/analysis): every blocking episode
@@ -123,7 +122,6 @@ class ConformanceMonitor {
   TraceRing ring_;
   std::vector<std::unique_ptr<cc::CcObserver>> lock_audits_;
   CommitAudit commit_audit_;
-  LeaseAudit lease_audit_;
   std::map<std::uint32_t, std::unique_ptr<LeaseAudit>> shard_lease_audits_;
   std::vector<Violation> reports_;
   std::uint64_t violations_ = 0;

@@ -117,7 +117,6 @@ struct SystemConfig {
   sim::Duration batch_window{};
   cc::TwoPhaseLocking::VictimPolicy victim_policy =
       cc::TwoPhaseLocking::VictimPolicy::kLowestPriority;
-  sim::Duration restart_backoff = sim::Duration::units(1);
 
   // ---- fault injection (distributed schemes; see net/fault.hpp) ----
   // All fault decisions draw from a stream forked off `seed`, so a zero
@@ -133,21 +132,17 @@ struct SystemConfig {
   // Ceiling-manager failover: every site hosts a standby manager plus a
   // heartbeat-driven FailoverCoordinator; when the elected manager crashes,
   // the next live site by id promotes itself and rebuilds the lock state
-  // from the clients' re-registrations.
+  // from the clients' re-registrations. The manager is declared dead after
+  // dist::kHeartbeatMissThreshold silent intervals, and its lease lasts
+  // one interval less.
   bool enable_failover = true;
   sim::Duration heartbeat_interval = sim::Duration::units(20);
-  // Missed heartbeat intervals before the manager is declared dead.
-  std::uint32_t heartbeat_miss_threshold = 3;
   // Reliable control channel (acked, retransmitting): retries per message,
   // the base of the exponential retransmission backoff, and its saturation
   // cap (a long partition must not double the wait into overflow).
   int retransmit_max = 5;
   sim::Duration backoff_base = sim::Duration::units(8);
   sim::Duration backoff_max = sim::Duration::units(256);
-  // Manager-lease validity window; zero derives heartbeat_interval *
-  // (heartbeat_miss_threshold - 1), one beat inside the election window so
-  // a partitioned manager fences before any successor promotes.
-  sim::Duration lease_interval{};
 
   // ---- load characteristics ----
   workload::WorkloadConfig workload;

@@ -161,18 +161,24 @@ void System::build_single_site() {
   Site site = make_site_base(0);
   site.cc = make_controller(kernel_, config_.protocol, config_.db_objects,
                             config_.victim_policy);
-  site.executor = std::make_unique<txn::LocalExecutor>(
-      txn::LocalExecutor::Services{
-          &kernel_, site.cpu.get(), site.rm.get(), site.cc.get(),
-          config_.record_history ? &history_ : nullptr},
-      txn::LocalExecutor::Costs{config_.cpu_per_object,
-                                use_priority_scheduling(),
-                                config_.lock_granularity});
+  add_transaction_manager(site, /*record_history=*/true);
+  sites_.push_back(std::move(site));
+}
+
+void System::add_transaction_manager(Site& site, bool record_history) {
+  site.executor = std::make_unique<Executor>(
+      Executor::Services{&kernel_, site.cpu.get(), site.rm.get(),
+                         site.cc.get(),
+                         record_history && config_.record_history ? &history_
+                                                                  : nullptr,
+                         site.replication.get(), site.server.get(),
+                         site.rpc_client.get(), site.coordinator.get()},
+      Executor::Costs{config_.cpu_per_object, use_priority_scheduling(),
+                      config_.lock_granularity, config_.commit_vote_timeout});
   site.tm = std::make_unique<txn::TransactionManager>(
       kernel_, *site.cc, *site.executor, monitor_,
-      txn::TransactionManager::Options{config_.restart_backoff});
+      txn::TransactionManager::Options{config_.admission});
   site.tm->connect_cpu(*site.cpu);
-  sites_.push_back(std::move(site));
 }
 
 void System::build_local_ceiling() {
@@ -198,17 +204,9 @@ void System::build_local_ceiling() {
         site.channel.get());
     site.cc =
         std::make_unique<cc::PriorityCeiling>(kernel_, config_.db_objects);
-    site.executor = std::make_unique<dist::ReplicatedExecutor>(
-        dist::ReplicatedExecutor::Services{
-            &kernel_, site.cpu.get(), site.rm.get(), site.cc.get(),
-            site.replication.get(), nullptr},
-        dist::ReplicatedExecutor::Costs{config_.cpu_per_object,
-                                        use_priority_scheduling()});
-    site.tm = std::make_unique<txn::TransactionManager>(
-        kernel_, *site.cc, *site.executor, monitor_,
-        txn::TransactionManager::Options{config_.restart_backoff,
-                                         config_.admission});
-    site.tm->connect_cpu(*site.cpu);
+    // Read-only transactions read replicas that may lag their primaries
+    // (§4), so the single-copy serializability oracle does not apply.
+    add_transaction_manager(site, /*record_history=*/false);
     site.server->start();
     sites_.push_back(std::move(site));
   }
@@ -297,14 +295,14 @@ void System::build_partitioned_ceiling() {
     // The window covers detection plus one failover round.
     const sim::Duration acquire_timeout =
         faulty ? config_.heartbeat_interval *
-                     static_cast<std::int64_t>(
-                         config_.heartbeat_miss_threshold + 2)
+                     static_cast<std::int64_t>(dist::kHeartbeatMissThreshold +
+                                               2)
                : sim::Duration::zero();
     auto client = std::make_unique<dist::PartitionedCeilingClient>(
         kernel_, *site.server, *site.rpc_client,
         dist::PartitionedCeilingClient::Options{shards, shard_fn(),
                                                 acquire_timeout},
-        site.channel.get(), site.batch.get());
+        *site.batch);
     // One handler slot per message type per site: the router owns them all
     // and demultiplexes on the shard field.
     site.router = std::make_unique<dist::ShardRouter>(
@@ -331,9 +329,7 @@ void System::build_partitioned_ceiling() {
                 *site.server,
                 dist::FailoverCoordinator::Options{
                     config_.heartbeat_interval,
-                    config_.heartbeat_miss_threshold,
-                    /*initial_manager=*/shard, config_.sites,
-                    config_.lease_interval, shard},
+                    /*initial_manager=*/shard, config_.sites, shard},
                 dist::FailoverCoordinator::Hooks{
                     [manager = site.shard_managers[shard].get()](
                         std::uint64_t term) { manager->activate(term); },
@@ -354,20 +350,8 @@ void System::build_partitioned_ceiling() {
         site.router->set_failover(shard, site.shard_failovers[shard].get());
       }
     }
-    site.executor = std::make_unique<dist::GlobalExecutor>(
-        dist::GlobalExecutor::Services{
-            &kernel_, site.cpu.get(), site.rm.get(), &schema_, client.get(),
-            site.server.get(), site.rpc_client.get(), site.coordinator.get(),
-            config_.record_history ? &history_ : nullptr},
-        dist::GlobalExecutor::Costs{config_.cpu_per_object,
-                                    use_priority_scheduling(),
-                                    config_.commit_vote_timeout});
     site.cc = std::move(client);
-    site.tm = std::make_unique<txn::TransactionManager>(
-        kernel_, *site.cc, *site.executor, monitor_,
-        txn::TransactionManager::Options{config_.restart_backoff,
-                                         config_.admission});
-    site.tm->connect_cpu(*site.cpu);
+    add_transaction_manager(site, /*record_history=*/true);
     site.server->start();
     sites_.push_back(std::move(site));
   }

@@ -9,12 +9,12 @@
 #include "cc/serializability.hpp"
 #include "check/monitor.hpp"
 #include "core/config.hpp"
+#include "core/executor.hpp"
 #include "core/run_result.hpp"
 #include "db/database.hpp"
 #include "db/resource_manager.hpp"
 #include "dist/failover.hpp"
 #include "dist/global_ceiling.hpp"
-#include "dist/local_ceiling.hpp"
 #include "dist/partitioned.hpp"
 #include "dist/recovery.hpp"
 #include "dist/replication.hpp"
@@ -100,7 +100,7 @@ class System {
     std::vector<std::unique_ptr<dist::GlobalCeilingManager>> shard_managers;
     std::vector<std::unique_ptr<dist::FailoverCoordinator>> shard_failovers;
     std::unique_ptr<txn::CommitCoordinator> coordinator;
-    std::unique_ptr<txn::TxnExecutor> executor;
+    std::unique_ptr<Executor> executor;
     std::unique_ptr<txn::TransactionManager> tm;
   };
   Site& site(net::SiteId id) { return sites_[id]; }
@@ -178,6 +178,12 @@ class System {
   void attach_conformance();
   void schedule_faults();
   Site make_site_base(net::SiteId id);
+  // The site's transaction body (core::Executor over whatever machinery
+  // the builder gave the site), its transaction manager, and the manager's
+  // hook that carries inherited priorities to the site's CPU. Committed
+  // histories reach the serializability oracle only when `record_history`
+  // (and config.record_history) is set.
+  void add_transaction_manager(Site& site, bool record_history);
   bool use_priority_scheduling() const {
     return config_.protocol != Protocol::kTwoPhase;
   }

@@ -1,6 +1,5 @@
 #include "dist/election.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace rtdb::dist {
@@ -12,17 +11,6 @@ ElectionState::ElectionState(Options options)
       manager_(options.initial_manager),
       last_heard_(options.site_count, sim::TimePoint::origin()) {
   assert(options_.site_count > 0);
-  lease_interval_ =
-      options_.lease_interval.is_zero()
-          ? options_.heartbeat_interval *
-                static_cast<std::int64_t>(
-                    std::max<std::uint32_t>(1, options_.miss_threshold - 1))
-          : options_.lease_interval;
-  // The fence-before-election argument needs the lease window strictly
-  // inside the election window; a custom lease_interval must respect it.
-  assert(lease_interval_ <=
-         options_.heartbeat_interval *
-             static_cast<std::int64_t>(options_.miss_threshold));
 }
 
 void ElectionState::reset(sim::TimePoint now) {
@@ -38,13 +26,16 @@ void ElectionState::acquire_initial_lease() {
 bool ElectionState::recently_heard(SiteId site, sim::TimePoint now) const {
   return now - last_heard_[site] <=
          options_.heartbeat_interval *
-             static_cast<std::int64_t>(options_.miss_threshold);
+             static_cast<std::int64_t>(kHeartbeatMissThreshold);
 }
 
 bool ElectionState::majority_reachable(sim::TimePoint now) const {
+  const sim::Duration lease_window =
+      options_.heartbeat_interval *
+      static_cast<std::int64_t>(kHeartbeatMissThreshold - 1);
   std::uint32_t heard = 0;
   for (SiteId site = 0; site < options_.site_count; ++site) {
-    if (site == options_.self || now - last_heard_[site] <= lease_interval_) {
+    if (site == options_.self || now - last_heard_[site] <= lease_window) {
       ++heard;
     }
   }

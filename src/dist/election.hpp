@@ -8,6 +8,11 @@
 
 namespace rtdb::dist {
 
+// Missed heartbeat intervals before a manager is declared dead: the
+// election window is heartbeat_interval * kHeartbeatMissThreshold, and a
+// lease lives one beat less.
+inline constexpr std::uint32_t kHeartbeatMissThreshold = 3;
+
 // Substrate-free election + lease state machine: the pure decision core of
 // FailoverCoordinator, with no kernel, network, or timer dependencies. The
 // coordinator drives it from the sim kernel's beat loop; tests/rt/ drive
@@ -16,8 +21,9 @@ namespace rtdb::dist {
 //
 // Lease discipline: the manager holds a term-stamped lease that is only
 // considered live while it has heard from a strict majority of sites
-// within `lease_interval`. The lease window is strictly shorter than the
-// election window (`heartbeat_interval * miss_threshold`), and both are
+// within the lease window, `heartbeat_interval * (kHeartbeatMissThreshold
+// - 1)`. The lease window is one beat shorter than the election window
+// (`heartbeat_interval * kHeartbeatMissThreshold`), and both are
 // measured from the same heartbeat arrival stamps, so a manager cut off by
 // a partition fences itself at least one beat before any successor can
 // promote — the minority-side manager can never race a majority-side
@@ -30,11 +36,6 @@ class ElectionState {
     std::uint32_t site_count = 0;
     net::SiteId initial_manager = 0;
     sim::Duration heartbeat_interval = sim::Duration::units(20);
-    // Missed intervals before the manager is declared dead.
-    std::uint32_t miss_threshold = 3;
-    // Lease validity window; zero derives heartbeat_interval *
-    // (miss_threshold - 1), one full beat inside the election window.
-    sim::Duration lease_interval{};
   };
 
   enum class Event : std::uint8_t {
@@ -74,7 +75,6 @@ class ElectionState {
   net::SiteId manager() const { return manager_; }
   std::uint64_t term() const { return term_; }
   bool lease_held() const { return lease_held_; }
-  sim::Duration lease_interval() const { return lease_interval_; }
   // Times this site promoted itself to manager.
   std::uint64_t promotions() const { return promotions_; }
   // Times a held lease expired because quorum was lost.
@@ -87,7 +87,6 @@ class ElectionState {
   bool recently_heard(net::SiteId site, sim::TimePoint now) const;
 
   Options options_;
-  sim::Duration lease_interval_{};
   std::uint64_t term_ = 0;
   net::SiteId manager_ = 0;
   bool lease_held_ = false;

@@ -14,9 +14,7 @@ FailoverCoordinator::FailoverCoordinator(net::MessageServer& server,
       hooks_(std::move(hooks)),
       state_(ElectionState::Options{server.site(), options.site_count,
                                     options.initial_manager,
-                                    options.heartbeat_interval,
-                                    options.miss_threshold,
-                                    options.lease_interval}) {
+                                    options.heartbeat_interval}) {
   assert(options_.site_count > 0);
 }
 

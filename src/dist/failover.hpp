@@ -51,13 +51,8 @@ class FailoverCoordinator {
  public:
   struct Options {
     sim::Duration heartbeat_interval = sim::Duration::units(20);
-    // Missed intervals before the manager is declared dead.
-    std::uint32_t miss_threshold = 3;
     net::SiteId initial_manager = 0;
     std::uint32_t site_count = 0;
-    // Lease validity window; zero derives heartbeat_interval *
-    // (miss_threshold - 1). See ElectionState::Options.
-    sim::Duration lease_interval{};
     // The shard whose manager this coordinator elects. Stamped into
     // outgoing heartbeats/announcements so the per-site ShardRouter can
     // demultiplex; the coordinator registers no handlers of its own.

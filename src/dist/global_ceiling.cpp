@@ -28,30 +28,18 @@ GlobalCeilingManager::GlobalCeilingManager(net::MessageServer& server,
 void GlobalCeilingManager::handle_register(SiteId from,
                                            RegisterTxnMsg message) {
   if (!active_) return;  // not the manager; the client will re-target
-  if (message.attempt > 0) {
-    // A finished attempt's retransmitted Register must not resurrect it.
-    if (auto t = ended_.find(message.txn);
-        t != ended_.end() && t->second >= message.attempt) {
-      return;
-    }
+  // A finished attempt's retransmitted Register must not resurrect it.
+  if (auto t = ended_.find(message.txn);
+      t != ended_.end() && t->second >= message.attempt) {
+    return;
   }
   auto it = mirrors_.find(message.txn);
   if (it != mirrors_.end()) {
-    Mirror& existing = *it->second;
-    if (message.attempt > 0 && existing.attempt > 0) {
-      // Attempt-stamped traffic: a duplicate or stale Register is ignored;
-      // a newer attempt's Register means the old attempt ended but its
-      // EndTxn is still in flight (or lost) — tear the old mirror down.
-      if (existing.attempt >= message.attempt) return;
-      remove_mirror(it);
-    } else {
-      // Legacy heuristic (unstamped senders): ignore duplicates for the
-      // live attempt; an *aborted* mirror still present means the EndTxn
-      // was lost and this is the restarted attempt re-registering.
-      if (!existing.aborted) return;
-      disarm_reap(existing);
-      mirrors_.erase(it);
-    }
+    // A duplicate or stale Register is ignored; a newer attempt's Register
+    // means the old attempt ended but its EndTxn is still in flight (or
+    // lost) — tear the old mirror down.
+    if (it->second->attempt >= message.attempt) return;
+    remove_mirror(it);
   }
   auto mirror = std::make_unique<Mirror>();
   mirror->ctx.id = db::TxnId{message.txn};
@@ -76,7 +64,7 @@ void GlobalCeilingManager::handle_register(SiteId from,
 
 void GlobalCeilingManager::arm_reap(std::uint64_t txn, Mirror& mirror,
                                     std::int64_t deadline_ticks) {
-  if (!reap_orphans_ || deadline_ticks <= 0) return;
+  if (!reap_orphans_) return;
   // One unit past the deadline: strictly after the home watchdog's kill
   // event, so a reap can never race a live transaction. Firing before the
   // (in-flight, possibly lost) ReleaseAll/EndTxn is harmless — the reap
@@ -105,10 +93,8 @@ void GlobalCeilingManager::reap_orphan(std::uint64_t txn,
   // Tombstone the attempt so a late duplicate Register cannot resurrect
   // the mirror (no restarted attempt can outlive the deadline: the home
   // watchdog killed the transaction at it).
-  if (attempt > 0) {
-    auto [t, inserted] = ended_.try_emplace(txn, attempt);
-    if (!inserted && t->second < attempt) t->second = attempt;
-  }
+  auto [t, inserted] = ended_.try_emplace(txn, attempt);
+  if (!inserted && t->second < attempt) t->second = attempt;
   remove_mirror(it);
 }
 
@@ -142,20 +128,15 @@ void GlobalCeilingManager::handle_release(const ReleaseAllMsg& message) {
   Mirror& mirror = *it->second;
   // A stale attempt's (retransmitted) release must not strip the locks of
   // the attempt now registered.
-  if (message.attempt > 0 && mirror.attempt > 0 &&
-      mirror.attempt != message.attempt) {
-    return;
-  }
+  if (mirror.attempt != message.attempt) return;
   cancel_pending(mirror);
   if (!mirror.aborted) pcp_.release_all(mirror.ctx);
 }
 
 void GlobalCeilingManager::handle_end(const EndTxnMsg& message) {
   if (!active_) return;
-  if (message.attempt > 0) {
-    auto [t, inserted] = ended_.try_emplace(message.txn, message.attempt);
-    if (!inserted && t->second < message.attempt) t->second = message.attempt;
-  }
+  auto [t, inserted] = ended_.try_emplace(message.txn, message.attempt);
+  if (!inserted && t->second < message.attempt) t->second = message.attempt;
   auto it = mirrors_.find(message.txn);
   if (it == mirrors_.end()) return;
   // Under message jitter the EndTxn can overtake the ReleaseAll (and under
@@ -163,7 +144,7 @@ void GlobalCeilingManager::handle_end(const EndTxnMsg& message) {
   // held locks before deregistering, so no CcTxn pointer survives in the
   // lock table. release_all is idempotent, so the common ordered path is
   // unchanged. A stale attempt's EndTxn leaves the newer mirror alone.
-  if (message.attempt > 0 && it->second->attempt > message.attempt) return;
+  if (it->second->attempt > message.attempt) return;
   remove_mirror(it);
 }
 
@@ -213,8 +194,7 @@ void GlobalCeilingManager::handle_acquire(AcquireReq request,
   ++acquire_requests_;
   auto it = mirrors_.find(request.txn);
   if (!active_ || it == mirrors_.end() || it->second->aborted ||
-      (request.attempt > 0 && it->second->attempt > 0 &&
-       it->second->attempt != request.attempt)) {
+      it->second->attempt != request.attempt) {
     ++denials_;
     respond(AcquireResp{false, lease_term_});
     return;
@@ -376,123 +356,6 @@ DataServer::DataServer(net::MessageServer& server, net::RpcDispatcher& rpc,
     ++remote_reads_;
     respond(DataReadResp{rm_.current(request.object)});
   });
-}
-
-// ---- GlobalExecutor ----
-
-GlobalExecutor::GlobalExecutor(Services services, Costs costs)
-    : services_(services), costs_(costs) {
-  assert(services_.kernel != nullptr && services_.cpu != nullptr &&
-         services_.rm != nullptr && services_.schema != nullptr &&
-         services_.cc != nullptr && services_.server != nullptr &&
-         services_.rpc != nullptr && services_.coordinator != nullptr);
-}
-
-sim::Priority GlobalExecutor::sched_priority(const cc::CcTxn& ctx) const {
-  return costs_.use_priority_scheduling ? ctx.effective_priority()
-                                        : sim::Priority{0, 0};
-}
-
-sim::Task<std::optional<cc::AbortReason>> GlobalExecutor::run(
-    txn::AttemptContext& attempt, const txn::TransactionSpec& spec) {
-  cc::CcTxn& ctx = attempt.ctx;
-  services_.cc->on_begin(ctx);
-  attempt.began = true;
-  const SiteId home = spec.home_site;
-
-  for (const cc::Operation& op : spec.access.operations()) {
-    if (auto aborted =
-            co_await services_.cc->acquire(ctx, op.object, op.mode)) {
-      co_return aborted;
-    }
-    if (services_.history != nullptr) {
-      services_.history->record(spec.id, op.object, op.mode);
-    }
-    if (services_.schema->has_copy(home, op.object)) {
-      co_await services_.rm->read(op.object, sched_priority(ctx));
-    } else {
-      // Partitioned placement, remote primary copy: one round trip.
-      auto response = co_await services_.rpc->call(
-          services_.schema->primary_site(op.object), DataReadReq{op.object});
-      assert(response.has_value());
-      (void)response;
-    }
-    co_await services_.cpu->execute(costs_.cpu_per_object,
-                                    sched_priority(ctx), &attempt.cpu_job);
-    attempt.cpu_job = {};
-  }
-
-  const auto writes = spec.access.write_set();
-  if (writes.empty()) co_return std::nullopt;
-
-  if (services_.schema->placement() == db::Placement::kFullyReplicated) {
-    // Synchronous replicated commit: compute the new versions under the
-    // global locks and install them at every site before releasing, so all
-    // copies stay identical ("every data object maintains most up-to-date
-    // value").
-    std::vector<db::Version> versions;
-    versions.reserve(writes.size());
-    for (const db::ObjectId object : writes) {
-      versions.push_back(db::Version{
-          services_.rm->current(object).sequence + 1, spec.id,
-          services_.kernel->now()});
-    }
-    std::vector<SiteId> participants;
-    for (SiteId site = 0; site < services_.schema->site_count(); ++site) {
-      if (site == home) continue;
-      services_.server->send(site,
-                             WriteSetMsg{spec.id.value, writes, versions});
-      participants.push_back(site);
-    }
-    const bool ok = co_await services_.coordinator->commit(
-        spec.id, participants, costs_.vote_timeout);
-    if (!ok) co_return cc::AbortReason::kSystem;
-    for (std::size_t i = 0; i < writes.size(); ++i) {
-      services_.rm->apply_update(writes[i], versions[i]);
-    }
-    co_return std::nullopt;
-  }
-
-  // Partitioned placement: 2PC across the owner sites of the write set.
-  std::vector<db::ObjectId> local_writes;
-  std::map<SiteId, std::vector<db::ObjectId>> remote_writes;
-  for (const db::ObjectId object : writes) {
-    const SiteId owner = services_.schema->primary_site(object);
-    if (owner == home) {
-      local_writes.push_back(object);
-    } else {
-      remote_writes[owner].push_back(object);
-    }
-  }
-  std::vector<SiteId> participants;
-  for (auto& [owner, objects] : remote_writes) {
-    services_.server->send(owner, WriteSetMsg{spec.id.value, objects, {}});
-    participants.push_back(owner);
-  }
-  const bool ok = co_await services_.coordinator->commit(
-      spec.id, participants, costs_.vote_timeout);
-  if (!ok) co_return cc::AbortReason::kSystem;
-  if (!local_writes.empty()) {
-    co_await services_.rm->commit_writes(spec.id, local_writes,
-                                         sched_priority(ctx));
-  }
-  co_return std::nullopt;
-}
-
-void GlobalExecutor::release(txn::AttemptContext& attempt,
-                             const txn::TransactionSpec& spec,
-                             bool committed) {
-  if (!attempt.began) return;
-  attempt.began = false;
-  services_.cc->release_all(attempt.ctx);
-  services_.cc->on_end(attempt.ctx);
-  if (services_.history != nullptr) {
-    if (committed) {
-      services_.history->commit(spec.id);
-    } else {
-      services_.history->abort(spec.id);
-    }
-  }
 }
 
 }  // namespace rtdb::dist

@@ -8,24 +8,20 @@
 
 #include "cc/controller.hpp"
 #include "cc/pcp.hpp"
-#include "cc/serializability.hpp"
-#include "db/database.hpp"
 #include "db/resource_manager.hpp"
 #include "dist/lease.hpp"
 #include "net/message_server.hpp"
 #include "net/rpc.hpp"
-#include "sched/cpu.hpp"
 #include "sim/kernel.hpp"
-#include "txn/transaction.hpp"
 #include "txn/two_phase_commit.hpp"
 
 namespace rtdb::dist {
 
 // ---- wire messages of the global and partitioned ceiling schemes ----
 
-// Control messages carry the 1-based attempt number of the sending attempt
-// (0 = legacy sender): with retransmission in play, a duplicate from an
-// aborted attempt must not corrupt the state of the current one.
+// Control messages carry the 1-based attempt number of the sending attempt:
+// with retransmission in play, a duplicate from an aborted attempt must
+// not corrupt the state of the current one.
 //
 // Every control message also carries the shard it addresses: a site hosts
 // one handler slot per message type, so a per-site ShardRouter
@@ -36,10 +32,10 @@ struct RegisterTxnMsg {
   std::uint32_t attempt = 0;
   std::int64_t priority_key = 0;
   std::uint32_t priority_tie = 0;
-  // Hard deadline of the transaction (ticks since the origin; 0 from
-  // legacy senders). Past it the home watchdog has provably killed the
-  // transaction, so a reaping manager may treat a surviving mirror as an
-  // orphan whose teardown messages were lost.
+  // Hard deadline of the transaction (ticks since the origin). Past it the
+  // home watchdog has provably killed the transaction, so a reaping manager
+  // may treat a surviving mirror as an orphan whose teardown messages were
+  // lost.
   std::int64_t deadline_ticks = 0;
   std::vector<cc::Operation> operations;
   // Locks the attempt already holds (failover re-registration only): the
@@ -264,52 +260,6 @@ class DataServer {
   txn::CommitParticipant participant_;
   std::unordered_map<std::uint64_t, WriteSetMsg> staged_;
   std::uint64_t remote_reads_ = 0;
-};
-
-// Transaction body under the global scheme: every lock is acquired through
-// the remote ceiling manager and held across the network for the whole
-// transaction. Two data placements are supported, selected by the schema:
-//
-//  * kFullyReplicated (the paper's setting — "every data object maintains
-//    most up-to-date value"): reads are local, and commits install the new
-//    versions at *every* site synchronously under the global locks (2PC to
-//    all other sites), which is what guarantees temporal consistency and
-//    what makes the scheme expensive;
-//  * kPartitioned (extension): reads of remote primaries are DataReadReq
-//    round trips and commits run 2PC across the owner sites only.
-class GlobalExecutor : public txn::TxnExecutor {
- public:
-  struct Services {
-    sim::Kernel* kernel = nullptr;
-    sched::PreemptiveCpu* cpu = nullptr;
-    db::ResourceManager* rm = nullptr;  // this site's partition
-    const db::Database* schema = nullptr;
-    // The site's PartitionedCeilingClient (one shard under the global
-    // scheme); only the base lifecycle is used.
-    cc::ConcurrencyController* cc = nullptr;
-    net::MessageServer* server = nullptr;
-    net::RpcClient* rpc = nullptr;
-    txn::CommitCoordinator* coordinator = nullptr;
-    cc::HistoryRecorder* history = nullptr;
-  };
-  struct Costs {
-    sim::Duration cpu_per_object{};
-    bool use_priority_scheduling = true;
-    sim::Duration vote_timeout = sim::Duration::units(1000);
-  };
-
-  GlobalExecutor(Services services, Costs costs);
-
-  sim::Task<std::optional<cc::AbortReason>> run(
-      txn::AttemptContext& attempt, const txn::TransactionSpec& spec) override;
-  void release(txn::AttemptContext& attempt, const txn::TransactionSpec& spec,
-               bool committed) override;
-
- private:
-  sim::Priority sched_priority(const cc::CcTxn& ctx) const;
-
-  Services services_;
-  Costs costs_;
 };
 
 }  // namespace rtdb::dist

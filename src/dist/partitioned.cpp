@@ -108,12 +108,11 @@ void ShardRouter::route_view(SiteId from, std::uint64_t term, SiteId manager,
 
 PartitionedCeilingClient::PartitionedCeilingClient(
     sim::Kernel& kernel, net::MessageServer& server, net::RpcClient& rpc,
-    Options options, net::ReliableChannel* channel, net::BatchChannel* batch)
+    Options options, net::BatchChannel& batch)
     : cc::ConcurrencyController(kernel),
       server_(server),
       rpc_(rpc),
       options_(std::move(options)),
-      channel_(channel),
       batch_(batch),
       shards_(options_.shards) {
   assert(options_.shards >= 1);
@@ -164,7 +163,7 @@ sim::Task<std::optional<cc::AbortReason>> PartitionedCeilingClient::acquire(
   AcquireResp resp{};
   // The Register this acquire depends on may still sit in the batch
   // window; push it out before blocking on the shard manager's answer.
-  if (batch_ != nullptr) batch_->flush(sh.manager_site);
+  batch_.flush(sh.manager_site);
   if (options_.acquire_timeout.is_zero()) {
     std::optional<net::Payload> response =
         co_await rpc_.call(sh.manager_site, request);
@@ -179,7 +178,7 @@ sim::Task<std::optional<cc::AbortReason>> PartitionedCeilingClient::acquire(
     while (true) {
       // After a failover the re-registration may be queued for the new
       // manager; it must land before this re-issued request.
-      if (batch_ != nullptr) batch_->flush(sh.manager_site);
+      batch_.flush(sh.manager_site);
       std::optional<net::Payload> response = co_await rpc_.call(
           sh.manager_site, request, options_.acquire_timeout);
       if (!response.has_value()) continue;

@@ -9,7 +9,6 @@
 #include "dist/failover.hpp"
 #include "dist/global_ceiling.hpp"
 #include "net/batch.hpp"
-#include "net/reliable.hpp"
 #include "net/rpc.hpp"
 
 namespace rtdb::dist {
@@ -82,10 +81,11 @@ class PartitionedCeilingClient : public cc::ConcurrencyController {
     sim::Duration acquire_timeout{};
   };
 
+  // Control messages ride `batch`, which passes them on to the site's
+  // reliable channel (an exact passthrough when batching is off).
   PartitionedCeilingClient(sim::Kernel& kernel, net::MessageServer& server,
                            net::RpcClient& rpc, Options options,
-                           net::ReliableChannel* channel,
-                           net::BatchChannel* batch);
+                           net::BatchChannel& batch);
 
   sim::Task<std::optional<cc::AbortReason>> acquire(
       cc::CcTxn& txn, db::ObjectId object, cc::LockMode mode) override;
@@ -130,21 +130,13 @@ class PartitionedCeilingClient : public cc::ConcurrencyController {
 
   template <typename T>
   void send_control(std::uint32_t shard, T message) {
-    const net::SiteId to = shards_[shard].manager_site;
-    if (batch_ != nullptr) {
-      batch_->send(to, std::move(message));
-    } else if (channel_ != nullptr) {
-      channel_->send(to, std::move(message));
-    } else {
-      server_.send(to, std::move(message));
-    }
+    batch_.send(shards_[shard].manager_site, std::move(message));
   }
 
   net::MessageServer& server_;
   net::RpcClient& rpc_;
   Options options_;
-  net::ReliableChannel* channel_ = nullptr;
-  net::BatchChannel* batch_ = nullptr;
+  net::BatchChannel& batch_;
   std::vector<Shard> shards_;
   // txn -> (shard -> registration message, held kept current). Ordered at
   // both levels so failover re-registration replays deterministically.

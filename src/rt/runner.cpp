@@ -11,6 +11,7 @@
 #include "rt/thread_backend.hpp"
 #include "sim/kernel.hpp"
 #include "sim/random.hpp"
+#include "txn/manager.hpp"
 #include "txn/transaction.hpp"
 #include "workload/generator.hpp"
 
@@ -64,11 +65,12 @@ void record_miss(Slot& slot, ThreadBackend& backend) {
   slot.record.finish = backend.now();
 }
 
-// One attempt's body, the thread-side mirror of txn::LocalExecutor::run:
-// returns nullopt once the work is done, or why the attempt must abort.
-// Deadline misses are detected at operation boundaries rather than by a
-// watchdog process (a real thread cannot be killed asynchronously), so a
-// doomed attempt runs until its next boundary before it is charged.
+// One attempt's body, the thread-side mirror of core::Executor::run on a
+// single site: returns nullopt once the work is done, or why the attempt
+// must abort. Deadline misses are detected at operation boundaries rather
+// than by a watchdog process (a real thread cannot be killed
+// asynchronously), so a doomed attempt runs until its next boundary before
+// it is charged.
 std::optional<cc::AbortReason> run_attempt(const txn::TransactionSpec& spec,
                                            RtTxn& txn, RtLockTable& table,
                                            ThreadBackend& backend,
@@ -94,11 +96,10 @@ std::optional<cc::AbortReason> run_attempt(const txn::TransactionSpec& spec,
     backend.advance(config.cpu_per_object);  // compute on it
   }
   if (auto aborted = boundary()) return aborted;
-  if (spec.access.write_count() > 0) {
-    // Deferred write-back: with one disk per object the write I/Os
-    // proceed in parallel, so commit costs a single io_per_object.
-    backend.advance(config.io_per_object);
-  }
+  // Write-back at commit: one I/O per written object, in turn, as
+  // db::ResourceManager::commit_writes charges it on the simulator.
+  backend.advance(config.io_per_object *
+                  static_cast<std::int64_t>(spec.access.write_count()));
   return std::nullopt;
 }
 
@@ -148,7 +149,7 @@ void run_transaction(Slot& slot, RtLockTable& table, ThreadBackend& backend,
 
     ++record.aborts;
     counters.restarts.fetch_add(1, std::memory_order_relaxed);
-    sim::Duration backoff = config.restart_backoff;
+    sim::Duration backoff = txn::kRestartBackoff;
     if (*aborted == cc::AbortReason::kAgeBased) {
       // Wait-die restarts retry against the same older holders; back off
       // exponentially like txn::TransactionManager so they stop thrashing.
@@ -176,18 +177,15 @@ RtRunResult run_threaded(const core::SystemConfig& config,
     throw std::invalid_argument(
         "rt::run_threaded does not support periodic sources");
   }
+  if (config.admission.enabled) {
+    throw std::invalid_argument(
+        "rt::run_threaded does not support admission control");
+  }
 
   std::vector<txn::TransactionSpec> specs = generate_schedule(config);
-
-  ThreadBackend backend{{runner_config.workers, runner_config.unit_nanos}};
   const std::uint32_t granularity = std::max(1u, config.lock_granularity);
-  const std::uint32_t granules =
-      (config.db_objects + granularity - 1) / granularity;
-  RtLockTable table{{config.protocol, granules, config.victim_policy,
-                     config.conformance_check || config.bounds_check,
-                     runner_config.bound_gate},
-                    backend};
-
+  // Everything that does not need the clock is built before the backend
+  // starts it, so the first arrivals are released on time.
   std::deque<Slot> slots;
   for (txn::TransactionSpec& spec : specs) {
     Slot& slot = slots.emplace_back();
@@ -204,6 +202,14 @@ RtRunResult run_threaded(const core::SystemConfig& config,
     slot.record.arrival = slot.spec.arrival;
     slot.record.deadline = slot.spec.deadline;
   }
+
+  ThreadBackend backend{{runner_config.workers, runner_config.unit_nanos}};
+  const std::uint32_t granules =
+      (config.db_objects + granularity - 1) / granularity;
+  RtLockTable table{{config.protocol, granules, config.victim_policy,
+                     config.conformance_check || config.bounds_check,
+                     runner_config.bound_gate},
+                    backend};
 
   SharedCounters counters;
   // Release transactions at their arrival instants. The dispatch loop runs

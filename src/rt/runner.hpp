@@ -4,13 +4,14 @@
 // seed-deterministic workload generator to pre-compute the arrival
 // schedule (bit-identical to the one the simulation would submit), then
 // releases each transaction at its arrival instant onto the worker pool,
-// where it executes the same per-operation body as txn::LocalExecutor —
-// acquire granule, read I/O, compute, commit writes — against the
-// RtLockTable, which runs the simulator's controller for the protocol.
+// where it executes the same per-operation body as core::Executor on a
+// single site — acquire granule, read I/O, compute, one write I/O per
+// written object at commit — against the RtLockTable, which runs the
+// simulator's controller for the protocol.
 //
 // Restrictions (checked, not silent): single-site scheme, no periodic
-// sources. The distributed schemes and periodic drivers stay
-// simulation-only for now.
+// sources, no admission control. The distributed schemes, periodic
+// drivers and load shedding stay simulation-only for now.
 
 #include <cstdint>
 #include <string>
@@ -51,7 +52,7 @@ struct RtRunnerConfig {
 
 // Runs config's workload to completion on real threads. Throws
 // std::invalid_argument when the configuration needs simulation-only
-// machinery (distributed scheme, periodic sources).
+// machinery (distributed scheme, periodic sources, admission control).
 RtRunResult run_threaded(const core::SystemConfig& config,
                          const RtRunnerConfig& runner_config);
 

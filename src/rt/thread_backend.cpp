@@ -13,12 +13,19 @@ ThreadBackend::ThreadBackend(ThreadBackendConfig config)
     : config_(config),
       worker_count_(config.workers != 0
                         ? config.workers
-                        : std::max(1u, std::thread::hardware_concurrency())),
-      epoch_(steady_clock::now()) {
+                        : std::max(1u, std::thread::hardware_concurrency())) {
   threads_.reserve(worker_count_);
   for (std::uint32_t i = 0; i < worker_count_; ++i) {
     threads_.emplace_back([this] { worker_loop(); });
   }
+  // The clock starts once every worker waits for work: starting threads
+  // takes tens of units on a loaded or sanitized host, and a clock already
+  // running would charge that to the first transactions' deadlines.
+  std::unique_lock<std::mutex> guard(mutex_);
+  idle_cv_.wait(guard, [this]() RTDB_REQUIRES(mutex_) {
+    return workers_up_ == worker_count_;
+  });
+  epoch_ = steady_clock::now();
 }
 
 ThreadBackend::~ThreadBackend() {
@@ -103,6 +110,10 @@ std::uint64_t ThreadBackend::body_exceptions() const {
 }
 
 void ThreadBackend::worker_loop() {
+  {
+    const std::lock_guard<std::mutex> guard(mutex_);
+    if (++workers_up_ == worker_count_) idle_cv_.notify_all();
+  }
   for (;;) {
     Job job;
     {

@@ -6,11 +6,11 @@
 // time units.
 //
 // Time mapping: t_sim(ticks) = elapsed_real_ns * kTicksPerUnit /
-// unit_nanos, with the epoch pinned at backend construction. unit_nanos
-// is the real-time length of one simulation unit; the default (20 µs per
-// unit) compresses a paper-scale Fig-2 run (~20k units) into under a
-// second of wall clock while keeping sleeps long enough for the OS timer
-// to honor.
+// unit_nanos, with the epoch pinned once the constructor has every worker
+// waiting for work. unit_nanos is the real-time length of one simulation
+// unit; the default (20 µs per unit) compresses a paper-scale Fig-2 run
+// (~20k units) into under a second of wall clock while keeping sleeps long
+// enough for the OS timer to honor.
 //
 // Runs here are *statistically* reproducible (same seed → same workload,
 // same protocol decisions modulo physical interleaving), never bitwise —
@@ -102,11 +102,13 @@ class ThreadBackend {
 
   mutable std::mutex mutex_;
   std::condition_variable queue_cv_;  // workers wait for jobs
-  std::condition_variable idle_cv_;   // run() waits for drain
+  // run() waits for drain, the constructor for every worker to start.
+  std::condition_variable idle_cv_;
   std::deque<Job> queue_ RTDB_GUARDED_BY(mutex_);
   // Queued + running bodies.
   std::uint64_t outstanding_ RTDB_GUARDED_BY(mutex_) = 0;
   std::uint64_t exceptions_ RTDB_GUARDED_BY(mutex_) = 0;
+  std::uint32_t workers_up_ RTDB_GUARDED_BY(mutex_) = 0;
   bool shutdown_ RTDB_GUARDED_BY(mutex_) = false;
 
   std::vector<std::thread> threads_;

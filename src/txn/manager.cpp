@@ -144,7 +144,7 @@ void TransactionManager::start_attempt(Live& live) {
   // Fresh cc view per attempt; identity and priority are stable.
   live.attempt.reset();
   live.attempt.ctx.id = live.spec.id;
-  live.attempt.ctx.attempt = live.attempts + 1;  // 1-based; 0 = unstamped
+  live.attempt.ctx.attempt = live.attempts + 1;  // 1-based
   live.attempt.ctx.base_priority = live.spec.priority;
   live.attempt.ctx.deadline = live.spec.deadline;
   live.attempt.ctx.access = live.spec.access;
@@ -191,7 +191,7 @@ void TransactionManager::schedule_restart(Live& live, cc::AbortReason reason) {
   // retried immediately — a restart livelock; back off exponentially with
   // the attempt count. Other abort reasons (deadlock victim, wound, TSO)
   // change the state that caused them, so the flat backoff suffices.
-  sim::Duration backoff = options_.restart_backoff;
+  sim::Duration backoff = kRestartBackoff;
   if (reason == cc::AbortReason::kAgeBased) {
     const std::uint32_t shift = std::min<std::uint32_t>(live.attempts, 6);
     backoff = backoff * static_cast<std::int64_t>(1u << shift);

@@ -15,6 +15,11 @@
 
 namespace rtdb::txn {
 
+// Delay before a protocol-aborted attempt (deadlock victim, wound,
+// timestamp rejection) is restarted; age-based dies back off exponentially
+// from it. The thread runner (src/rt) restarts with the same delays.
+inline constexpr sim::Duration kRestartBackoff = sim::Duration::units(1);
+
 // The Transaction Manager of one site: spawns one kernel process per
 // transaction attempt ("a separate process for each transaction is created
 // for concurrent execution"), arms the hard-deadline watchdog, restarts
@@ -27,9 +32,6 @@ namespace rtdb::txn {
 class TransactionManager {
  public:
   struct Options {
-    // Delay before a protocol-aborted attempt (deadlock victim, wound,
-    // timestamp rejection) is restarted.
-    sim::Duration restart_backoff = sim::Duration::units(1);
     // Deadline-aware admission control (see txn/admission.hpp); disabled
     // by default, in which case every submitted transaction is admitted
     // immediately and the manager behaves exactly as before.

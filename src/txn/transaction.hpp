@@ -5,9 +5,7 @@
 
 #include "cc/access_set.hpp"
 #include "cc/controller.hpp"
-#include "cc/serializability.hpp"
 #include "cc/txn_ctx.hpp"
-#include "db/resource_manager.hpp"
 #include "db/types.hpp"
 #include "net/network.hpp"
 #include "sched/cpu.hpp"
@@ -46,8 +44,8 @@ struct AttemptContext {
   // Set by the executor once the controller saw on_begin; release() is a
   // no-op before that (an attempt can be killed before it ever ran).
   bool began = false;
-  // Attempt-scoped working sets (acquired-granule list, write batches) are
-  // carved from here; rewound wholesale between attempts.
+  // Attempt-scoped working sets (the commit's write set) are carved from
+  // here; rewound wholesale between attempts.
   sim::Arena scratch;
 
   // Fresh state for the next attempt. The arena keeps its chunks, so a
@@ -62,8 +60,8 @@ struct AttemptContext {
 
 // Executes transaction attempts against a site's services. The manager
 // owns the lifecycle (watchdog, restarts, statistics); the executor owns
-// the body (which differs between the single-site system and the two
-// distributed ceiling schemes).
+// the body. Every scheme runs the same body, core::Executor, which sits
+// above this layer because it reaches into dist and net.
 //
 // Contract per attempt:
 //   run()      returns nullopt => the transaction committed;
@@ -80,46 +78,6 @@ class TxnExecutor {
       AttemptContext& attempt, const TransactionSpec& spec) = 0;
   virtual void release(AttemptContext& attempt, const TransactionSpec& spec,
                        bool committed) = 0;
-};
-
-// The standard single-site body from §3: for each declared operation,
-// acquire the lock, read the object (one I/O), compute (cpu_per_object);
-// at commit, write the write set (one I/O per object) and release — a
-// strict two-phase schedule.
-class LocalExecutor : public TxnExecutor {
- public:
-  struct Services {
-    sim::Kernel* kernel = nullptr;
-    sched::PreemptiveCpu* cpu = nullptr;
-    db::ResourceManager* rm = nullptr;
-    cc::ConcurrencyController* cc = nullptr;
-    cc::HistoryRecorder* history = nullptr;  // optional oracle
-  };
-  struct Costs {
-    sim::Duration cpu_per_object{};
-    // When false (the paper's plain-2PL configuration "L"), transactions
-    // compete for CPU and disk without priorities.
-    bool use_priority_scheduling = true;
-    // Locking granularity (the UI's "database ... granularity" knob):
-    // objects per locking granule. Locks and declared sets operate on
-    // granule ids (object / granularity); physical reads and writes stay
-    // per-object. 1 = object-level locking.
-    std::uint32_t lock_granularity = 1;
-  };
-
-  LocalExecutor(Services services, Costs costs);
-
-  sim::Task<std::optional<cc::AbortReason>> run(
-      AttemptContext& attempt, const TransactionSpec& spec) override;
-  void release(AttemptContext& attempt, const TransactionSpec& spec,
-               bool committed) override;
-
-  // The priority the CPU/disk schedulers see for this attempt.
-  sim::Priority sched_priority(const cc::CcTxn& ctx) const;
-
- private:
-  Services services_;
-  Costs costs_;
 };
 
 }  // namespace rtdb::txn

@@ -17,7 +17,7 @@ namespace {
 TEST(LeaseAuditTest, CleanFailoverLifecyclePasses) {
   sim::Kernel k;
   ConformanceMonitor monitor{k};
-  dist::LeaseObserver* audit = monitor.lease_observer();
+  dist::LeaseObserver* audit = monitor.lease_observer(0);
   // Term 0: site 0 is born holding the lease and grants.
   audit->on_lease_acquired(0, 0);
   audit->on_lease_grant(0, 0);
@@ -37,7 +37,7 @@ TEST(LeaseAuditTest, CleanFailoverLifecyclePasses) {
 TEST(LeaseAuditTest, FlagsFencelessManagerTwin) {
   sim::Kernel k;
   ConformanceMonitor monitor{k};
-  dist::LeaseObserver* audit = monitor.lease_observer();
+  dist::LeaseObserver* audit = monitor.lease_observer(0);
   audit->on_lease_acquired(0, 0);
   audit->on_lease_grant(0, 0);
   audit->on_lease_released(0, 0);  // the lease expired (quorum lost)
@@ -51,7 +51,7 @@ TEST(LeaseAuditTest, FlagsFencelessManagerTwin) {
 TEST(LeaseAuditTest, FlagsGrantStampedWithSomeoneElsesTerm) {
   sim::Kernel k;
   ConformanceMonitor monitor{k};
-  dist::LeaseObserver* audit = monitor.lease_observer();
+  dist::LeaseObserver* audit = monitor.lease_observer(0);
   audit->on_lease_acquired(0, 0);
   audit->on_lease_acquired(1, 1);
   // Mutation: site 0 stamps a grant with the successor's term — it holds a
@@ -65,7 +65,7 @@ TEST(LeaseAuditTest, FlagsGrantStampedWithSomeoneElsesTerm) {
 TEST(LeaseAuditTest, FlagsTwoHoldersOfOneTerm) {
   sim::Kernel k;
   ConformanceMonitor monitor{k};
-  dist::LeaseObserver* audit = monitor.lease_observer();
+  dist::LeaseObserver* audit = monitor.lease_observer(0);
   audit->on_lease_acquired(0, 5);
   // Mutation: split brain — a second site claims the same term's lease.
   audit->on_lease_acquired(1, 5);
@@ -78,7 +78,7 @@ TEST(LeaseAuditTest, ReacquiringYourOwnTermIsNotSplitBrain) {
   // Unfence after a transient quorum loss: same site, same term.
   sim::Kernel k;
   ConformanceMonitor monitor{k};
-  dist::LeaseObserver* audit = monitor.lease_observer();
+  dist::LeaseObserver* audit = monitor.lease_observer(0);
   audit->on_lease_acquired(0, 0);
   audit->on_lease_released(0, 0);
   audit->on_lease_acquired(0, 0);
@@ -89,7 +89,7 @@ TEST(LeaseAuditTest, ReacquiringYourOwnTermIsNotSplitBrain) {
 TEST(LeaseAuditTest, FlagsStaleTermAcceptingClientTwin) {
   sim::Kernel k;
   ConformanceMonitor monitor{k};
-  dist::LeaseObserver* audit = monitor.lease_observer();
+  dist::LeaseObserver* audit = monitor.lease_observer(0);
   audit->on_lease_acquired(0, 0);
   audit->on_term_adopted(2, 1);  // site 2's failover adopted the election
   // Mutation: its client still acts on a term-0 grant (the rejection
@@ -109,7 +109,7 @@ TEST(LeaseAuditTest, StaleEmissionBeforeAdoptionIsLegal) {
   // (previous test) trips the rule.
   sim::Kernel k;
   ConformanceMonitor monitor{k};
-  dist::LeaseObserver* audit = monitor.lease_observer();
+  dist::LeaseObserver* audit = monitor.lease_observer(0);
   audit->on_lease_acquired(0, 0);
   audit->on_term_adopted(1, 1);
   audit->on_lease_acquired(1, 1);

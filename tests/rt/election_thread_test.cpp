@@ -44,7 +44,7 @@ struct View {
 struct Cluster {
   sim::Kernel audit_clock;  // timestamps for the trace ring only
   check::ConformanceMonitor monitor{audit_clock};
-  dist::LeaseObserver* audit = monitor.lease_observer();
+  dist::LeaseObserver* audit = monitor.lease_observer(0);
 
   std::mutex mutex;
   std::vector<ElectionState> states;

@@ -154,6 +154,38 @@ TEST(ThreadRunnerTest, RejectsPeriodicSources) {
                std::invalid_argument);
 }
 
+// Admission control sheds load in the simulator's transaction manager; the
+// thread runner has no shedder, so it must not pretend to honour it.
+TEST(ThreadRunnerTest, RejectsAdmissionControl) {
+  core::SystemConfig config = small_config(core::Protocol::kPriorityCeiling);
+  config.admission.enabled = true;
+  EXPECT_THROW(run_threaded(config, {2, config.rt_unit_nanos}),
+               std::invalid_argument);
+}
+
+// The thread body charges the simulator's cost model: at commit, one write
+// I/O per written object, in turn. An uncontended size-4 update then needs
+// 4 x (1 read I/O + 2 CPU) + 4 write I/Os = 16 units at least.
+TEST(ThreadRunnerTest, CommitChargesOneWriteIoPerWrittenObject) {
+  core::SystemConfig config = small_config(core::Protocol::kPriorityCeiling);
+  config.workload.transaction_count = 1;
+  config.workload.size_min = 4;
+  config.workload.size_max = 4;
+  config.workload.read_only_fraction = 0.0;
+  // A deadline far past the work, so even a slow host commits, and a
+  // coarser clock, so wake-up latency stays well under one unit.
+  config.workload.slack_min = 50.0;
+  config.workload.slack_max = 50.0;
+  config.rt_unit_nanos = 100'000;
+  ASSERT_EQ(config.cpu_per_object, sim::Duration::units(2));
+  ASSERT_EQ(config.io_per_object, sim::Duration::units(1));
+  const RtRunResult result = run_threaded(config, {2, config.rt_unit_nanos});
+  ASSERT_EQ(result.records.size(), 1u);
+  const stats::TxnRecord& record = result.records.front();
+  ASSERT_TRUE(record.committed);
+  EXPECT_GE(record.response(), sim::Duration::units(16));
+}
+
 // Lock granularity > 1 exercises the coarsened access sets end to end.
 TEST(ThreadRunnerTest, CoarseGranularityRunsAuditClean) {
   core::SystemConfig config = small_config(core::Protocol::kTwoPhase);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "cc/pcp.hpp"
+#include "core/executor.hpp"
 #include "db/database.hpp"
 #include "db/resource_manager.hpp"
 #include "sched/cpu.hpp"
@@ -35,15 +36,15 @@ struct Site {
   db::ResourceManager rm{k, schema, 0, io, tu(1)};
   cc::PriorityCeiling cc{k, 20u};
   cc::HistoryRecorder history;
-  LocalExecutor executor{
-      LocalExecutor::Services{&k, &cpu, &rm, &cc, &history},
-      LocalExecutor::Costs{tu(2), true}};
+  core::Executor executor{
+      core::Executor::Services{&k, &cpu, &rm, &cc, &history},
+      core::Executor::Costs{tu(2), true}};
   stats::PerformanceMonitor monitor;
   TransactionManager tm;
 
   explicit Site(AdmissionConfig admission)
       : tm(k, cc, executor, monitor,
-           TransactionManager::Options{tu(1), admission}) {
+           TransactionManager::Options{admission}) {
     tm.connect_cpu(cpu);
   }
 

@@ -50,9 +50,9 @@ TEST(GranularityTest, CoarseLocksCreateFalseConflicts) {
     sched::IoSubsystem io{k};
     db::ResourceManager rm{k, schema, 0, io, Duration::zero()};
     cc::TwoPhaseLocking cc{k, cc::TwoPhaseLocking::Options{}};
-    LocalExecutor executor{
-        LocalExecutor::Services{&k, &cpu, &rm, &cc, nullptr},
-        LocalExecutor::Costs{tu(10), true, granularity}};
+    core::Executor executor{
+        core::Executor::Services{&k, &cpu, &rm, &cc, nullptr},
+        core::Executor::Costs{tu(10), true, granularity}};
     stats::PerformanceMonitor monitor;
     TransactionManager tm{k, cc, executor, monitor};
     tm.connect_cpu(cpu);

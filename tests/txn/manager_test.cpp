@@ -4,6 +4,7 @@
 
 #include "cc/pcp.hpp"
 #include "cc/two_phase.hpp"
+#include "core/executor.hpp"
 #include "db/database.hpp"
 #include "db/resource_manager.hpp"
 #include "sched/cpu.hpp"
@@ -30,9 +31,9 @@ struct Site {
   db::ResourceManager rm{k, schema, 0, io, tu(1)};
   Controller cc;
   cc::HistoryRecorder history;
-  LocalExecutor executor{
-      LocalExecutor::Services{&k, &cpu, &rm, &cc, &history},
-      LocalExecutor::Costs{tu(2), true}};
+  core::Executor executor{
+      core::Executor::Services{&k, &cpu, &rm, &cc, &history},
+      core::Executor::Costs{tu(2), true}};
   stats::PerformanceMonitor monitor;
   TransactionManager tm{k, cc, executor, monitor};
 
