@@ -85,9 +85,10 @@ int main(int argc, char** argv) {
       const std::size_t n = std::strlen(prefix);
       return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
     };
-    if (const char* v = value("--protocol=")) {
+    const char* v = nullptr;
+    if ((v = value("--protocol="))) {
       if (!parse_protocol(v, &cfg.protocol)) usage(argv[0]);
-    } else if (const char* v = value("--scheme=")) {
+    } else if ((v = value("--scheme="))) {
       const std::string s = v;
       if (s == "single") {
         cfg.scheme = core::DistScheme::kSingleSite;
@@ -101,34 +102,34 @@ int main(int argc, char** argv) {
       if (cfg.scheme != core::DistScheme::kSingleSite && cfg.sites < 2) {
         cfg.sites = 3;
       }
-    } else if (const char* v = value("--sites=")) {
+    } else if ((v = value("--sites="))) {
       cfg.sites = static_cast<std::uint32_t>(std::atoi(v));
-    } else if (const char* v = value("--db=")) {
+    } else if ((v = value("--db="))) {
       cfg.db_objects = static_cast<std::uint32_t>(std::atoi(v));
-    } else if (const char* v = value("--size=")) {
+    } else if ((v = value("--size="))) {
       cfg.workload.size_min = cfg.workload.size_max =
           static_cast<std::uint32_t>(std::atoi(v));
-    } else if (const char* v = value("--count=")) {
+    } else if ((v = value("--count="))) {
       cfg.workload.transaction_count =
           static_cast<std::uint64_t>(std::atoll(v));
-    } else if (const char* v = value("--inter=")) {
+    } else if ((v = value("--inter="))) {
       cfg.workload.mean_interarrival = sim::Duration::from_units(std::atof(v));
-    } else if (const char* v = value("--ro=")) {
+    } else if ((v = value("--ro="))) {
       cfg.workload.read_only_fraction = std::atof(v);
-    } else if (const char* v = value("--cpu=")) {
+    } else if ((v = value("--cpu="))) {
       cfg.cpu_per_object = sim::Duration::from_units(std::atof(v));
-    } else if (const char* v = value("--io=")) {
+    } else if ((v = value("--io="))) {
       cfg.io_per_object = sim::Duration::from_units(std::atof(v));
-    } else if (const char* v = value("--delay=")) {
+    } else if ((v = value("--delay="))) {
       cfg.comm_delay = sim::Duration::from_units(std::atof(v));
-    } else if (const char* v = value("--slack=")) {
+    } else if ((v = value("--slack="))) {
       if (std::sscanf(v, "%lf,%lf", &cfg.workload.slack_min,
                       &cfg.workload.slack_max) != 2) {
         usage(argv[0]);
       }
-    } else if (const char* v = value("--runs=")) {
+    } else if ((v = value("--runs="))) {
       runs = std::atoi(v);
-    } else if (const char* v = value("--seed=")) {
+    } else if ((v = value("--seed="))) {
       cfg.seed = static_cast<std::uint64_t>(std::atoll(v));
     } else {
       usage(argv[0]);

@@ -10,7 +10,14 @@ namespace rtdb::check {
 namespace {
 
 std::string priority_string(sim::Priority p) {
-  return "(" + std::to_string(p.key()) + "," + std::to_string(p.tie()) + ")";
+  // Appends rather than `"(" + std::to_string(...)`, which GCC 12 flags
+  // with a false-positive -Wrestrict.
+  std::string text = "(";
+  text += std::to_string(p.key());
+  text += ',';
+  text += std::to_string(p.tie());
+  text += ')';
+  return text;
 }
 
 }  // namespace

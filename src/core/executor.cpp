@@ -75,14 +75,7 @@ sim::Task<std::optional<cc::AbortReason>> Executor::run(
     attempt.cpu_job = {};
   }
   if (spec.access.write_count() == 0) co_return std::nullopt;
-  // The write set in execution order, like AccessSet::write_set() but
-  // built in the attempt arena.
-  auto writes =
-      attempt.scratch.make_array<db::ObjectId>(spec.access.write_count());
-  std::size_t nw = 0;
-  for (const cc::Operation& op : ops) {
-    if (op.mode == cc::LockMode::kWrite) writes[nw++] = op.object;
-  }
+  const std::vector<db::ObjectId> writes = spec.access.write_set();
   if (services_.coordinator != nullptr) {
     if (!co_await commit_distributed(spec, ctx, writes)) {
       co_return cc::AbortReason::kSystem;

@@ -1,62 +1,31 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 namespace rtdb::sim {
 
-namespace {
-constexpr std::size_t kMinBuckets = 64;
-constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
-constexpr int kMaxShift = 40;
-// Health check: every kCheckWindow ops, more than kOverworkPerOp wasted
-// steps per op on average flags the current layout as mismatched.
-constexpr std::uint64_t kCheckWindow = 4096;
-constexpr std::uint64_t kOverworkPerOp = 16;
-}  // namespace
-
-EventQueue::EventQueue() : buckets_(kMinBuckets), mask_(kMinBuckets - 1) {
-  // Initial width: 2^10 ticks (about one simulated time unit); the first
-  // rebuild replaces the guess with the measured inter-event gap.
-  shift_ = 10;
-}
-
-std::uint32_t EventQueue::new_slot(EventCallback callback) {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
+EventId EventQueue::schedule(TimePoint when, EventCallback callback) {
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()));
     slots_.emplace_back();
   }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
   Slot& s = slots_[slot];
   s.live = true;
   s.callback = std::move(callback);
-  return slot;
-}
-
-void EventQueue::retire_slot(std::uint32_t slot) {
-  ++slots_[slot].generation;
-  free_slots_.push_back(slot);
-}
-
-EventId EventQueue::schedule(TimePoint when, EventCallback callback) {
-  const std::uint32_t slot = new_slot(std::move(callback));
-  const Entry entry{when.as_ticks(), next_seq_++, slot};
   ++live_;
-  ++stored_;
-  if (heap_mode_) {
-    heap_push(entry);
-  } else {
-    insert_entry(entry);
-    if (stored_ > 2 * buckets_.size() && buckets_.size() < kMaxBuckets) {
-      rebuild();
-    }
-    note_op();
+  // Sift up: parents move down into the hole until the entry fits.
+  const Entry entry{when.as_ticks(), next_seq_++, slot};
+  std::size_t hole = heap_.size();
+  heap_.emplace_back();
+  while (hole > 0 && key(entry) < key(heap_[(hole - 1) / 4])) {
+    heap_[hole] = heap_[(hole - 1) / 4];
+    hole = (hole - 1) / 4;
   }
-  return EventId{slot, slots_[slot].generation};
+  heap_[hole] = entry;
+  return EventId{slot, s.generation};
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -64,48 +33,18 @@ bool EventQueue::cancel(EventId id) {
   Slot& s = slots_[id.slot];
   s.live = false;
   s.callback = nullptr;
-  // The stored entry stays; it is discarded when it reaches a bucket front
-  // (or the heap top). The slot is recycled there too (not here) so the
-  // structure never refers to a reused slot.
+  // The entry stays, and so does its slot until the entry is dropped, so
+  // the heap never refers to a reused slot.
   --live_;
+  if (heap_.size() - live_ > live_) purge();
   return true;
 }
 
-bool EventQueue::pending(EventId id) const {
-  return id.valid() && id.slot < slots_.size() &&
-         slots_[id.slot].generation == id.generation && slots_[id.slot].live;
-}
-
-std::optional<TimePoint> EventQueue::next_time() {
-  if (heap_mode_) {
-    drop_dead_top();
-    if (heap_.empty()) return std::nullopt;
-    return TimePoint::at_ticks(heap_.front().time_ticks);
-  }
-  Bucket* bucket = find_front();
-  if (bucket == nullptr) return std::nullopt;
-  return TimePoint::at_ticks(bucket->front().time_ticks);
-}
-
 std::optional<EventQueue::ReadyEvent> EventQueue::pop() {
-  Entry entry;
-  if (heap_mode_) {
-    drop_dead_top();
-    if (heap_.empty()) return std::nullopt;
-    entry = heap_pop_top();
-    --stored_;
-  } else {
-    Bucket* bucket = find_front();
-    if (bucket == nullptr) return std::nullopt;
-    entry = bucket->front();
-    ++bucket->head;
-    --stored_;
-    compact(*bucket);
-    if (buckets_.size() > kMinBuckets && stored_ < buckets_.size() / 8) {
-      rebuild();
-    }
-    note_op();
-  }
+  drop_dead_top();
+  if (heap_.empty()) return std::nullopt;
+  const Entry entry = heap_.front();
+  remove_top();
   Slot& s = slots_[entry.slot];
   assert(s.live);
   ReadyEvent ready{TimePoint::at_ticks(entry.time_ticks),
@@ -117,172 +56,57 @@ std::optional<EventQueue::ReadyEvent> EventQueue::pop() {
   return ready;
 }
 
-void EventQueue::insert_entry(const Entry& entry) {
-  const std::int64_t day = day_of(entry.time_ticks);
-  // A schedule behind the scan position (legal: the scan may sit on a
-  // later window than "now") rewinds it, keeping the invariant that every
-  // live entry's window is >= cur_window_.
-  if (day < cur_window_) cur_window_ = day;
-  Bucket& bucket = bucket_of(day);
-  auto& items = bucket.items;
-  std::size_t pos = items.size();
-  while (pos > bucket.head && earlier(entry, items[pos - 1])) --pos;
-  overwork_ += items.size() - pos;  // entries shifted by this insert
-  items.insert(items.begin() + static_cast<std::ptrdiff_t>(pos), entry);
+void EventQueue::sift_down(std::size_t hole, Entry entry) {
+  const Key k = key(entry);
+  const std::size_t n = heap_.size();
+  for (;;) {
+    const std::size_t first = 4 * hole + 1;
+    if (first >= n) break;
+    // Three compares feed masks and conditional moves, not branches. A
+    // missing child repeats the last entry, a child to its left, so it
+    // never wins.
+    const Key k0 = key(heap_[first]);
+    const Key k1 = key(heap_[std::min(first + 1, n - 1)]);
+    const Key k2 = key(heap_[std::min(first + 2, n - 1)]);
+    const Key k3 = key(heap_[std::min(first + 3, n - 1)]);
+    const bool left_odd = k1 < k0;
+    const bool right_odd = k3 < k2;
+    const Key left = left_odd ? k1 : k0;
+    const Key right = right_odd ? k3 : k2;
+    const bool go_right = right < left;
+    const std::size_t left_at = first + left_odd;
+    const std::size_t right_at = first + 2 + right_odd;
+    const std::size_t best =
+        left_at ^ ((left_at ^ right_at) & -std::size_t{go_right});
+    if (k < (go_right ? right : left)) break;
+    heap_[hole] = heap_[best];
+    hole = best;
+  }
+  heap_[hole] = entry;
 }
 
-EventQueue::Bucket* EventQueue::find_front() {
-  if (stored_ == 0) return nullptr;
-  // Scan forward one window at a time. Windows verified empty are skipped
-  // for good (cur_window_ advances); insert_entry rewinds on a schedule
-  // behind the scan position. Within a bucket the due-now entries are
-  // exactly a sorted prefix, because an entry of a later year is at least
-  // a whole year away in time.
-  for (std::size_t scanned = 0; scanned < buckets_.size(); ++scanned) {
-    Bucket& bucket = bucket_of(cur_window_);
-    purge_front(bucket);
-    if (!bucket.empty() && day_of(bucket.front().time_ticks) == cur_window_) {
-      overwork_ += scanned;
-      return &bucket;
-    }
-    ++cur_window_;
-  }
-  overwork_ += buckets_.size();
-  // A whole year with nothing due: jump straight to the earliest front.
-  Bucket* best = nullptr;
-  for (Bucket& bucket : buckets_) {
-    purge_front(bucket);
-    if (bucket.empty()) continue;
-    if (best == nullptr || earlier(bucket.front(), best->front())) {
-      best = &bucket;
-    }
-  }
-  if (best == nullptr) return nullptr;  // everything stored was cancelled
-  cur_window_ = day_of(best->front().time_ticks);
-  return best;
-}
-
-void EventQueue::purge_front(Bucket& bucket) {
-  while (!bucket.empty() && !slots_[bucket.front().slot].live) {
-    retire_slot(bucket.front().slot);
-    ++bucket.head;
-    --stored_;
-  }
-  compact(bucket);
-}
-
-void EventQueue::compact(Bucket& bucket) {
-  // Reclaim the consumed prefix once it dominates the vector, so a bucket
-  // fed and drained concurrently doesn't grow without bound.
-  if (bucket.head == bucket.items.size()) {
-    bucket.items.clear();
-    bucket.head = 0;
-  } else if (bucket.head > 64 && bucket.head * 2 >= bucket.items.size()) {
-    bucket.items.erase(
-        bucket.items.begin(),
-        bucket.items.begin() + static_cast<std::ptrdiff_t>(bucket.head));
-    bucket.head = 0;
-  }
-}
-
-void EventQueue::rebuild() {
-  ++rebuilds_;
-  rebuild_scratch_.clear();
-  for (Bucket& bucket : buckets_) {
-    for (std::size_t i = bucket.head; i < bucket.items.size(); ++i) {
-      const Entry& entry = bucket.items[i];
-      if (slots_[entry.slot].live) {
-        rebuild_scratch_.push_back(entry);
-      } else {
-        retire_slot(entry.slot);
-      }
-    }
-    bucket.items.clear();
-    bucket.head = 0;
-  }
-  std::sort(rebuild_scratch_.begin(), rebuild_scratch_.end(), earlier);
-  stored_ = rebuild_scratch_.size();
-
-  const std::size_t want = std::min(
-      kMaxBuckets, std::bit_ceil(std::max(kMinBuckets, stored_)));
-  buckets_.resize(want);
-  mask_ = want - 1;
-
-  // Bucket width tracks the mean gap between pending events (rounded up to
-  // a power of two), aiming at about one event per bucket per year.
-  if (stored_ >= 2) {
-    const std::int64_t span = rebuild_scratch_.back().time_ticks -
-                              rebuild_scratch_.front().time_ticks;
-    const std::int64_t gap = span / static_cast<std::int64_t>(stored_ - 1);
-    shift_ = gap <= 0 ? 0
-                      : std::min(kMaxShift,
-                                 static_cast<int>(std::bit_width(
-                                     static_cast<std::uint64_t>(gap))));
-  }
-  cur_window_ = rebuild_scratch_.empty()
-                    ? 0
-                    : day_of(rebuild_scratch_.front().time_ticks);
-  // Ascending append keeps every bucket sorted.
-  for (const Entry& entry : rebuild_scratch_) {
-    bucket_of(day_of(entry.time_ticks)).items.push_back(entry);
-  }
-}
-
-void EventQueue::note_op() {
-  if (++op_count_ < kCheckWindow) return;
-  const bool overworked = overwork_ > kCheckWindow * kOverworkPerOp;
-  op_count_ = 0;
-  overwork_ = 0;
-  if (!overworked) {
-    prev_window_rebuilt_ = false;
-    return;
-  }
-  if (prev_window_rebuilt_) {
-    // Re-estimating didn't help: the distribution defeats the calendar
-    // (e.g. exponentially spreading gaps). Use the ordered structure.
-    enter_heap_mode();
-    return;
-  }
-  prev_window_rebuilt_ = true;
-  rebuild();
-}
-
-void EventQueue::enter_heap_mode() {
-  heap_mode_ = true;
-  heap_.clear();
-  for (Bucket& bucket : buckets_) {
-    for (std::size_t i = bucket.head; i < bucket.items.size(); ++i) {
-      const Entry& entry = bucket.items[i];
-      if (slots_[entry.slot].live) {
-        heap_.push_back(entry);
-      } else {
-        retire_slot(entry.slot);
-      }
-    }
-  }
-  stored_ = heap_.size();
-  buckets_.clear();
-  buckets_.shrink_to_fit();
-  std::make_heap(heap_.begin(), heap_.end(), later);
-}
-
-void EventQueue::heap_push(Entry entry) {
-  heap_.push_back(entry);
-  std::push_heap(heap_.begin(), heap_.end(), later);
-}
-
-EventQueue::Entry EventQueue::heap_pop_top() {
-  assert(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), later);
-  Entry entry = heap_.back();
+void EventQueue::remove_top() {
+  const Entry last = heap_.back();
   heap_.pop_back();
-  return entry;
+  if (!heap_.empty()) sift_down(0, last);
 }
 
 void EventQueue::drop_dead_top() {
   while (!heap_.empty() && !slots_[heap_.front().slot].live) {
-    retire_slot(heap_pop_top().slot);
-    --stored_;
+    retire_slot(heap_.front().slot);
+    remove_top();
+  }
+}
+
+void EventQueue::purge() {
+  std::erase_if(heap_, [this](const Entry& entry) {
+    if (slots_[entry.slot].live) return false;
+    retire_slot(entry.slot);
+    return true;
+  });
+  // Floyd's heap construction: sift every internal node down, last first.
+  for (std::size_t i = (heap_.size() + 2) / 4; i-- > 0;) {
+    sift_down(i, heap_[i]);
   }
 }
 

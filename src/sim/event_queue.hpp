@@ -22,43 +22,41 @@ struct EventId {
   friend bool operator==(EventId, EventId) = default;
 };
 
-// Cancellable time-ordered event queue.
-//
-// Structure: a calendar queue (Brown, CACM 1988) — an open hash of events
-// into a power-of-two ring of time buckets, each `2^shift_` ticks wide.
-// Scheduling appends into (or sorted-inserts within) one bucket and popping
-// scans forward from the current window, both O(1) amortized when the
-// bucket width tracks the mean inter-event gap. The width and bucket count
-// are re-estimated whenever the population outgrows the ring, and a health
-// check falls back to a plain binary heap for event-time distributions the
-// calendar handles badly (see `heap_fallback()`).
+// Cancellable time-ordered event queue: an implicit 4-ary min-heap of flat
+// (time, seq, slot) entries, with the callbacks in generation-checked slots
+// beside it. Four children per node halve a binary heap's depth, and three
+// branch-free compares of one 128-bit key pick the smallest of the four.
 //
 // Ordering contract (what the simulator's determinism rests on): events pop
-// in strictly ascending (time, schedule-sequence) order — equal times fire
-// in schedule order (FIFO) — regardless of structure, resizes, or
-// fallback. Equal-time events always share a bucket, and buckets are
-// consumed window-by-window, so the calendar preserves the exact total
-// order the previous heap implementation produced.
+// in strictly ascending (time, schedule-sequence) order, so equal times fire
+// in schedule order (FIFO). The key is unique, so the heap's shape cannot
+// change the pop order.
 //
-// Cancellation is O(1): the slot is marked dead and the stored entry is
-// discarded lazily when it reaches a bucket front (or at a rebuild).
+// Cancellation is O(1): the slot is marked dead, and its entry is dropped
+// when it reaches the top, or in one purge pass once dead entries outnumber
+// live ones.
 class EventQueue {
  public:
-  EventQueue();
-
   EventId schedule(TimePoint when, EventCallback callback);
 
   // Returns true if the event was still pending and is now cancelled.
   bool cancel(EventId id);
 
-  bool pending(EventId id) const;
+  bool pending(EventId id) const {
+    return id.valid() && id.slot < slots_.size() &&
+           slots_[id.slot].generation == id.generation && slots_[id.slot].live;
+  }
 
   // Number of live (non-cancelled) events.
   std::size_t size() const { return live_; }
   bool empty() const { return live_ == 0; }
 
   // Earliest live event time; nullopt when empty.
-  std::optional<TimePoint> next_time();
+  std::optional<TimePoint> next_time() {
+    drop_dead_top();
+    if (heap_.empty()) return std::nullopt;
+    return TimePoint::at_ticks(heap_.front().time_ticks);
+  }
 
   struct ReadyEvent {
     TimePoint time;
@@ -67,15 +65,8 @@ class EventQueue {
   // Removes and returns the earliest live event; nullopt when empty.
   std::optional<ReadyEvent> pop();
 
-  // ---- introspection (tests, benchmarks) ----
-  std::size_t bucket_count() const { return buckets_.size(); }
-  std::uint64_t rebuilds() const { return rebuilds_; }
-  // True once the queue abandoned the calendar for the heap fallback.
-  bool heap_fallback() const { return heap_mode_; }
-
  private:
-  // A scheduled occurrence: flat and trivially copyable so bucket inserts
-  // and rebuilds are plain memmoves. The callback lives in the slot.
+  // Flat and trivially copyable, so a sift is a plain copy.
   struct Entry {
     std::int64_t time_ticks;
     std::uint64_t seq;
@@ -86,70 +77,31 @@ class EventQueue {
     bool live = false;
     EventCallback callback{};
   };
-  // items[head..] sorted ascending by (time, seq); [0, head) is consumed.
-  struct Bucket {
-    std::vector<Entry> items;
-    std::size_t head = 0;
 
-    bool empty() const { return head == items.size(); }
-    Entry& front() { return items[head]; }
-  };
-
-  static bool earlier(const Entry& a, const Entry& b) {
-    if (a.time_ticks != b.time_ticks) return a.time_ticks < b.time_ticks;
-    return a.seq < b.seq;
-  }
-  static bool later(const Entry& a, const Entry& b) { return earlier(b, a); }
-
-  std::int64_t day_of(std::int64_t time_ticks) const {
-    return time_ticks >> shift_;
-  }
-  Bucket& bucket_of(std::int64_t day) {
-    return buckets_[static_cast<std::size_t>(day) & mask_];
+  // (time, seq) as one unsigned number; flipping the sign bit maps signed
+  // time order onto unsigned order.
+  using Key = unsigned __int128;
+  static Key key(const Entry& entry) {
+    const auto time = static_cast<std::uint64_t>(entry.time_ticks) ^
+                      (std::uint64_t{1} << 63);
+    return (Key{time} << 64) | entry.seq;
   }
 
-  std::uint32_t new_slot(EventCallback callback);
-  void retire_slot(std::uint32_t slot);
-
-  void insert_entry(const Entry& entry);
-  // Advances to and returns the bucket holding the globally earliest live
-  // entry (as its front); nullptr when none. Leaves cur_window_ on that
-  // entry's window.
-  Bucket* find_front();
-  void purge_front(Bucket& bucket);
-  void compact(Bucket& bucket);
-  // Re-estimates bucket width from the pending population and
-  // redistributes. Also purges every dead entry.
-  void rebuild();
-  void note_op();
-  void enter_heap_mode();
-  void heap_push(Entry entry);
-  Entry heap_pop_top();
+  void retire_slot(std::uint32_t slot) {
+    ++slots_[slot].generation;
+    free_slots_.push_back(slot);
+  }
+  void sift_down(std::size_t hole, Entry entry);
+  void remove_top();
   void drop_dead_top();
+  // Drops every dead entry and re-heapifies what is left.
+  void purge();
 
+  std::vector<Entry> heap_;  // entries held, including not-yet-dropped dead
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;
-  std::size_t live_ = 0;    // non-cancelled events
-  std::size_t stored_ = 0;  // entries held, including not-yet-purged dead
-
-  // ---- calendar state ----
-  std::vector<Bucket> buckets_;  // power-of-two size
-  std::size_t mask_ = 0;
-  int shift_ = 0;               // bucket width = 2^shift_ ticks
-  std::int64_t cur_window_ = 0;  // next window to scan (monotone per year)
-  std::vector<Entry> rebuild_scratch_;
-  std::uint64_t rebuilds_ = 0;
-
-  // ---- structure-health accounting ----
-  // Wasted work (insert shifts + empty-window scans) per op window; two
-  // consecutive overworked windows mean the distribution defeats the
-  // calendar and we switch to the heap for good.
-  std::uint64_t op_count_ = 0;
-  std::uint64_t overwork_ = 0;
-  bool prev_window_rebuilt_ = false;
-  bool heap_mode_ = false;
-  std::vector<Entry> heap_;
+  std::size_t live_ = 0;  // non-cancelled events
 };
 
 }  // namespace rtdb::sim

@@ -9,7 +9,6 @@
 #include "db/types.hpp"
 #include "net/network.hpp"
 #include "sched/cpu.hpp"
-#include "sim/arena.hpp"
 #include "sim/kernel.hpp"
 #include "sim/priority.hpp"
 #include "sim/task.hpp"
@@ -44,17 +43,12 @@ struct AttemptContext {
   // Set by the executor once the controller saw on_begin; release() is a
   // no-op before that (an attempt can be killed before it ever ran).
   bool began = false;
-  // Attempt-scoped working sets (the commit's write set) are carved from
-  // here; rewound wholesale between attempts.
-  sim::Arena scratch;
 
-  // Fresh state for the next attempt. The arena keeps its chunks, so a
-  // restarted transaction allocates nothing new for its scratch data.
+  // Fresh state for the next attempt.
   void reset() {
     ctx = cc::CcTxn{};
     cpu_job = {};
     began = false;
-    scratch.reset();
   }
 };
 

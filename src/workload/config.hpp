@@ -35,7 +35,7 @@ struct PeriodicSource {
   double deadline_slack = 1.0;
   // Pin the source to one site (a radar station updating its own view);
   // nullopt follows the assignment policy like aperiodic transactions.
-  std::optional<std::uint32_t> home_site;
+  std::optional<std::uint32_t> home_site{};
 };
 
 struct WorkloadConfig {

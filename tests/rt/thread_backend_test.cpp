@@ -149,7 +149,7 @@ TEST(ThreadRunnerTest, RejectsDistributedSchemes) {
 TEST(ThreadRunnerTest, RejectsPeriodicSources) {
   core::SystemConfig config = small_config(core::Protocol::kPriorityCeiling);
   config.workload.periodic.push_back(
-      workload::PeriodicSource{sim::Duration::units(10)});
+      workload::PeriodicSource{.period = sim::Duration::units(10)});
   EXPECT_THROW(run_threaded(config, {2, config.rt_unit_nanos}),
                std::invalid_argument);
 }

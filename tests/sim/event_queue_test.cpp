@@ -2,13 +2,33 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
+
+#include "sim/random.hpp"
 
 namespace rtdb::sim {
 namespace {
 
 TimePoint at(std::int64_t units) {
   return TimePoint::origin() + Duration::units(units);
+}
+
+// Pops everything and asserts that pop times never decrease.
+std::vector<TimePoint> drain(EventQueue& q) {
+  std::vector<TimePoint> times;
+  while (auto ev = q.pop()) {
+    if (!times.empty()) {
+      EXPECT_GE(ev->time, times.back());
+    }
+    times.push_back(ev->time);
+    ev->callback();
+  }
+  EXPECT_TRUE(q.empty());
+  return times;
 }
 
 TEST(EventQueueTest, PopsInTimeOrder) {
@@ -101,6 +121,186 @@ TEST(EventQueueTest, ManyInterleavedSchedulesAndCancels) {
   }
   EXPECT_EQ(fired, 500);
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, OrdersScrambledTimesAcrossPowerOfTwoEdges) {
+  EventQueue q;
+  // Times on both sides of 1023/1024, 65535/65536 and 131071 ticks,
+  // scheduled in a scrambled but deterministic order.
+  std::vector<std::int64_t> times;
+  for (std::int64_t base : {0, 1023, 1024, 1025, 65535, 65536, 131071}) {
+    for (std::int64_t delta : {0, 1, 511, 512}) {
+      times.push_back(base + delta);
+    }
+  }
+  std::vector<std::int64_t> scrambled;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    scrambled.push_back(times[(i * 17) % times.size()]);
+  }
+  std::vector<std::int64_t> fired;
+  for (std::int64_t t : scrambled) {
+    q.schedule(TimePoint::at_ticks(t), [&fired, t] { fired.push_back(t); });
+  }
+  drain(q);
+  std::vector<std::int64_t> expected = scrambled;
+  std::stable_sort(expected.begin(), expected.end());
+  EXPECT_EQ(fired, expected);
+}
+
+TEST(EventQueueTest, LaterEventScheduledFirstPopsSecond) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(at(100 + 65536), [&] { order.push_back(2); });
+  q.schedule(at(100), [&] { order.push_back(1); });
+  drain(q);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(EventQueueTest, EqualTimesStayFifoAmongSpreadEvents) {
+  EventQueue q;
+  // 300 equal-time events interleaved with 600 spread ones, before and
+  // after them: the equal-time group still fires in schedule order.
+  std::vector<int> order;
+  for (int i = 0; i < 300; ++i) {
+    q.schedule(at(5000), [&order, i] { order.push_back(i); });
+    q.schedule(at(10000 + i * 77), [] {});
+    q.schedule(at(i * 13), [] {});
+  }
+  EXPECT_EQ(drain(q).size(), 900u);
+  std::vector<int> expected;
+  for (int i = 0; i < 300; ++i) expected.push_back(i);
+  EXPECT_EQ(order, expected);
+}
+
+TEST(EventQueueTest, ThousandSpreadEventsDrainInOrder) {
+  EventQueue q;
+  for (int i = 0; i < 1000; ++i) q.schedule(at(i * 37), [] {});
+  EXPECT_EQ(q.size(), 1000u);
+  EXPECT_EQ(drain(q).size(), 1000u);
+}
+
+TEST(EventQueueTest, CancelledHalfStaysCancelledAsQueueGrows) {
+  EventQueue q;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 200; ++i) {
+    ids.push_back(q.schedule(at(i * 37), [] {}));
+  }
+  for (std::size_t i = 0; i < ids.size(); i += 2) {
+    EXPECT_TRUE(q.cancel(ids[i]));
+  }
+  EXPECT_EQ(q.size(), 100u);
+  // Later schedules reuse no slot of a dead entry still in the heap, and
+  // the cancelled events are dropped, not resurrected.
+  for (int i = 0; i < 400; ++i) {
+    q.schedule(at(10000 + i * 37), [] {});
+  }
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(q.pending(ids[i]), i % 2 == 1);
+  }
+  EXPECT_EQ(drain(q).size(), 500u);
+}
+
+TEST(EventQueueTest, WidelySpacedSingleEventsThenFifoBurst) {
+  EventQueue q;
+  // One pending event at a time, each 2^20 ticks past the previous.
+  std::int64_t t = 0;
+  int fired = 0;
+  for (int i = 0; i < 6000; ++i) {
+    t += std::int64_t{1} << 20;
+    q.schedule(TimePoint::at_ticks(t), [&fired] { ++fired; });
+    auto ev = q.pop();
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_EQ(ev->time, TimePoint::at_ticks(t));
+    ev->callback();
+  }
+  EXPECT_EQ(fired, 6000);
+  // Equal times after that stay FIFO behind an earlier straggler.
+  std::vector<int> order;
+  for (int i = 0; i < 16; ++i) {
+    q.schedule(TimePoint::at_ticks(t + 100),
+               [&order, i] { order.push_back(i); });
+  }
+  q.schedule(TimePoint::at_ticks(t + 50), [&order] { order.push_back(-1); });
+  drain(q);
+  std::vector<int> expected{-1};
+  for (int i = 0; i < 16; ++i) expected.push_back(i);
+  EXPECT_EQ(order, expected);
+}
+
+TEST(EventQueueTest, MatchesOrderedMapReference) {
+  // Random schedules (many equal times, gaps up to 2^40 ticks), cancels
+  // and pops, checked op by op against a map keyed by (time, schedule
+  // order). Rounds lean in turn to scheduling, cancelling and popping; a
+  // cancel-leaning round cancels more than half of what is pending with
+  // few pops in between, so dead entries outnumber live ones and the purge
+  // pass runs.
+  using Key = std::pair<std::int64_t, std::uint64_t>;
+  RandomStream rng{20261018};
+  EventQueue q;
+  std::map<Key, EventId> reference;
+  std::vector<EventId> scheduled;
+  std::uint64_t seq = 0;
+  std::int64_t now = 0;
+  std::uint64_t fired = 0;
+  for (int round = 0; round < 60; ++round) {
+    for (int step = 0; step < 500; ++step) {
+      const std::int64_t roll = rng.uniform_int(0, 9);
+      const std::int64_t action = roll < 6 ? round % 3 : roll % 3;
+      if (action == 0 || reference.empty()) {
+        const std::int64_t gap =
+            rng.uniform_int(0, 3) == 0
+                ? 0
+                : rng.uniform_int(0, std::int64_t{1} << rng.uniform_int(0, 40));
+        const Key key{now + gap, seq++};
+        const EventId id =
+            q.schedule(TimePoint::at_ticks(key.first),
+                       [&fired, s = key.second] { fired = s; });
+        reference.emplace(key, id);
+        scheduled.push_back(id);
+      } else if (action == 1) {
+        // Mostly a pending event; sometimes any earlier id, maybe stale.
+        const auto pick = [&rng](std::size_t n) {
+          return static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+        };
+        EventId id;
+        std::size_t erased = 0;
+        if (rng.uniform_int(0, 3) != 0) {
+          const auto it = std::next(
+              reference.begin(),
+              static_cast<std::ptrdiff_t>(pick(reference.size())));
+          id = it->second;
+          reference.erase(it);
+          erased = 1;
+        } else {
+          id = scheduled[pick(scheduled.size())];
+          erased = std::erase_if(
+              reference, [id](const auto& kv) { return kv.second == id; });
+        }
+        EXPECT_EQ(q.pending(id), erased == 1);
+        EXPECT_EQ(q.cancel(id), erased == 1);
+        EXPECT_FALSE(q.pending(id));
+      } else {
+        const auto expected = reference.begin();
+        ASSERT_EQ(q.next_time(), TimePoint::at_ticks(expected->first.first));
+        auto ev = q.pop();
+        ASSERT_TRUE(ev.has_value());
+        ev->callback();
+        ASSERT_EQ(fired, expected->first.second);
+        now = expected->first.first;
+        reference.erase(expected);
+      }
+      ASSERT_EQ(q.size(), reference.size());
+    }
+  }
+  while (!reference.empty()) {
+    auto ev = q.pop();
+    ASSERT_TRUE(ev.has_value());
+    ev->callback();
+    EXPECT_EQ(fired, reference.begin()->first.second);
+    reference.erase(reference.begin());
+  }
+  EXPECT_EQ(q.pop(), std::nullopt);
 }
 
 }  // namespace
