@@ -1,6 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace rtdb::sim {
@@ -16,8 +17,16 @@ EventId EventQueue::schedule(TimePoint when, EventCallback callback) {
   s.live = true;
   s.callback = std::move(callback);
   ++live_;
-  // Sift up: parents move down into the hole until the entry fits.
   const Entry entry{when.as_ticks(), next_seq_++, slot};
+  if (Lane* lane = lane_for(entry.time_ticks)) {
+    if (lane->size == 0) {
+      nonempty_ |= 1u << static_cast<unsigned>(lane - lanes_.data());
+    }
+    lane->push_back(entry);
+    ++lane_entries_;
+    return EventId{slot, s.generation};
+  }
+  // Sift up: parents move down into the hole until the entry fits.
   std::size_t hole = heap_.size();
   heap_.emplace_back();
   while (hole > 0 && key(entry) < key(heap_[(hole - 1) / 4])) {
@@ -28,23 +37,74 @@ EventId EventQueue::schedule(TimePoint when, EventCallback callback) {
   return EventId{slot, s.generation};
 }
 
+EventQueue::Lane* EventQueue::lane_for(std::int64_t time_ticks) {
+  // Unsigned, so a time before the clock wraps instead of overflowing; it
+  // only names a lane.
+  const std::uint64_t delay = static_cast<std::uint64_t>(time_ticks) -
+                              static_cast<std::uint64_t>(clock_);
+  for (std::size_t i = 0; i < claimed_; ++i) {
+    Lane& lane = lanes_[i];
+    if (lane.delay != delay) continue;
+    // The tail check keeps the lane sorted: the new entry's sequence number
+    // is the largest yet, so its key is greater than the tail's exactly
+    // when its time is not less. It fails only after the clock went back,
+    // which takes an event scheduled before the clock; the kernel never
+    // schedules one.
+    return lane.size == 0 || lane.back().time_ticks <= time_ticks ? &lane
+                                                                   : nullptr;
+  }
+  if (claimed_ == kLanes) return nullptr;
+  bool seen = false;
+  for (const std::uint64_t recent : recent_) seen |= recent == delay;
+  recent_[recent_next_] = delay;
+  recent_next_ = (recent_next_ + 1) % kHistory;
+  if (!seen) return nullptr;
+  Lane& lane = lanes_[claimed_++];
+  lane.delay = delay;
+  return &lane;
+}
+
+void EventQueue::Lane::push_back(const Entry& entry) {
+  if (size == ring.size()) {
+    // Unroll into a ring twice as large, oldest first.
+    std::vector<Entry> grown(std::max<std::size_t>(16, 2 * ring.size()));
+    for (std::size_t i = 0; i < size; ++i) {
+      grown[i] = ring[(head + i) & (ring.size() - 1)];
+    }
+    ring = std::move(grown);
+    head = 0;
+  }
+  ring[(head + size) & (ring.size() - 1)] = entry;
+  ++size;
+}
+
 bool EventQueue::cancel(EventId id) {
   if (!pending(id)) return false;
   Slot& s = slots_[id.slot];
   s.live = false;
   s.callback = nullptr;
   // The entry stays, and so does its slot until the entry is dropped, so
-  // the heap never refers to a reused slot.
+  // no heap or lane entry ever refers to a reused slot.
   --live_;
-  if (heap_.size() - live_ > live_) purge();
+  if (heap_.size() + lane_entries_ - live_ > live_) purge();
   return true;
 }
 
 std::optional<EventQueue::ReadyEvent> EventQueue::pop() {
-  drop_dead_top();
-  if (heap_.empty()) return std::nullopt;
-  const Entry entry = heap_.front();
-  remove_top();
+  Entry entry{};
+  if (nonempty_ == 0) {
+    // Every lane is empty, so this is the heap's own pop.
+    drop_dead_top();
+    if (heap_.empty()) return std::nullopt;
+    entry = heap_.front();
+    remove_top();
+  } else {
+    const int source = least();
+    if (source == kNone) return std::nullopt;
+    entry = front(source);
+    remove_front(source);
+  }
+  clock_ = entry.time_ticks;
   Slot& s = slots_[entry.slot];
   assert(s.live);
   ReadyEvent ready{TimePoint::at_ticks(entry.time_ticks),
@@ -54,6 +114,40 @@ std::optional<EventQueue::ReadyEvent> EventQueue::pop() {
   retire_slot(entry.slot);
   --live_;
   return ready;
+}
+
+int EventQueue::least() {
+  drop_dead_top();
+  int source = heap_.empty() ? kNone : kHeap;
+  Key best = source == kHeap ? key(heap_.front()) : Key{};
+  for (unsigned bits = nonempty_; bits != 0; bits &= bits - 1) {
+    const int index = std::countr_zero(bits);
+    const Lane& lane = lanes_[index];
+    // Dead heads go as they are met, so a lane of cancelled entries empties
+    // and pop is back on the heap's own path.
+    while (lane.size != 0 && !slots_[lane.front().slot].live) {
+      retire_slot(lane.front().slot);
+      remove_front(index);
+    }
+    if (lane.size == 0) continue;
+    const Key k = key(lane.front());
+    if (source == kNone || k < best) {
+      source = index;
+      best = k;
+    }
+  }
+  return source;
+}
+
+void EventQueue::remove_front(int source) {
+  if (source == kHeap) {
+    remove_top();
+    return;
+  }
+  Lane& lane = lanes_[source];
+  lane.pop_front();
+  --lane_entries_;
+  if (lane.size == 0) nonempty_ &= ~(1u << source);
 }
 
 void EventQueue::sift_down(std::size_t hole, Entry entry) {
@@ -107,6 +201,24 @@ void EventQueue::purge() {
   // Floyd's heap construction: sift every internal node down, last first.
   for (std::size_t i = (heap_.size() + 2) / 4; i-- > 0;) {
     sift_down(i, heap_[i]);
+  }
+  lane_entries_ = 0;
+  // Each lane keeps its live entries in order, packed from its head.
+  for (std::size_t i = 0; i < claimed_; ++i) {
+    Lane& lane = lanes_[i];
+    const std::size_t mask = lane.ring.size() - 1;
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < lane.size; ++k) {
+      const Entry entry = lane.ring[(lane.head + k) & mask];
+      if (slots_[entry.slot].live) {
+        lane.ring[(lane.head + kept++) & mask] = entry;
+      } else {
+        retire_slot(entry.slot);
+      }
+    }
+    lane.size = kept;
+    if (kept == 0) nonempty_ &= ~(1u << i);
+    lane_entries_ += kept;
   }
 }
 

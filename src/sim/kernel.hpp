@@ -49,8 +49,9 @@ class Kernel {
   // ---- run control ----
   // Runs until the event queue drains.
   void run();
-  // Runs all events with time <= deadline; clock ends at
-  // min(deadline, last event time >= current clock).
+  // Runs all events with time <= deadline, then moves the clock to the
+  // deadline (it stays put if already past it), even when the last event
+  // fired earlier.
   void run_until(TimePoint deadline);
   void run_for(Duration d) { run_until(now_ + d); }
   // Executes at most one event. Returns false when the queue is empty.

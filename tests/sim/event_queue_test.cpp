@@ -303,5 +303,92 @@ TEST(EventQueueTest, MatchesOrderedMapReference) {
   EXPECT_EQ(q.pop(), std::nullopt);
 }
 
+TEST(EventQueueTest, DelayLanesMatchOrderedMapReference) {
+  // Three constant-delay streams, 0, 1 and 2 units after the last pop (the
+  // traffic the lanes serve), interleaved with random delays (the heap's),
+  // checked op by op against a map keyed by (time, schedule order). Cancels
+  // hit a stream's earliest pending event (a lane head), its middle one (a
+  // lane middle) and random-delay events (heap entries); cancel-leaning
+  // rounds cancel more than half of what is pending, so the purge pass
+  // runs. Some random events lie before the last pop, which the queue
+  // allows: popping one moves the clock back, so a stream's next event can
+  // be older than its lane's tail.
+  using Key = std::pair<std::int64_t, std::uint64_t>;
+  constexpr int kRandom = 3;  // streams are tagged 0-2, by delay in units
+  struct Pending {
+    EventId id;
+    int tag;
+  };
+  RandomStream rng{20261019};
+  EventQueue q;
+  std::map<Key, Pending> reference;
+  std::uint64_t seq = 0;
+  std::int64_t now = 0;
+  std::uint64_t fired = 0;
+  const auto schedule = [&](std::int64_t time, int tag) {
+    const Key key{time, seq++};
+    const EventId id = q.schedule(TimePoint::at_ticks(time),
+                                  [&fired, s = key.second] { fired = s; });
+    reference.emplace(key, Pending{id, tag});
+  };
+  const auto pop_and_check = [&] {
+    const Key expected = reference.begin()->first;
+    reference.erase(reference.begin());
+    now = expected.first;
+    ASSERT_EQ(q.next_time(), TimePoint::at_ticks(expected.first));
+    auto ev = q.pop();
+    ASSERT_TRUE(ev.has_value());
+    ev->callback();
+    ASSERT_EQ(fired, expected.second);
+  };
+  for (int round = 0; round < 45; ++round) {
+    for (int step = 0; step < 400; ++step) {
+      const std::int64_t roll = rng.uniform_int(0, 9);
+      const std::int64_t action = roll < 6 ? round % 3 : roll % 3;
+      if (action == 0 || reference.empty()) {
+        const std::int64_t which = rng.uniform_int(0, 5);
+        if (which < 3) {
+          schedule(now + which * kTicksPerUnit, static_cast<int>(which));
+          continue;
+        }
+        // Random gaps miss the streams' whole-unit delays.
+        std::int64_t gap = which == 3
+                               ? rng.uniform_int(1, 4 * kTicksPerUnit)
+                               : rng.uniform_int(1, std::int64_t{1} << 30);
+        if (which == 5 && rng.uniform_int(0, 2) == 0) {
+          gap = -(gap % (3 * kTicksPerUnit));
+        }
+        if (gap % kTicksPerUnit == 0) ++gap;
+        schedule(now + gap, kRandom);
+      } else if (action == 1) {
+        const std::int64_t kind = rng.uniform_int(0, 2);
+        const int tag =
+            kind == 2 ? kRandom : static_cast<int>(rng.uniform_int(0, 2));
+        std::vector<Key> keys;
+        for (const auto& [key, pending] : reference) {
+          if (pending.tag == tag) keys.push_back(key);
+        }
+        if (keys.empty()) continue;
+        const std::size_t index =
+            kind == 0   ? 0
+            : kind == 1 ? keys.size() / 2
+                        : static_cast<std::size_t>(rng.uniform_int(
+                              0, static_cast<std::int64_t>(keys.size()) - 1));
+        const EventId id = reference.at(keys[index]).id;
+        reference.erase(keys[index]);
+        EXPECT_TRUE(q.pending(id));
+        EXPECT_TRUE(q.cancel(id));
+        EXPECT_FALSE(q.pending(id));
+      } else {
+        pop_and_check();
+      }
+      ASSERT_FALSE(HasFatalFailure());
+      ASSERT_EQ(q.size(), reference.size());
+    }
+  }
+  while (!reference.empty() && !HasFatalFailure()) pop_and_check();
+  EXPECT_EQ(q.pop(), std::nullopt);
+}
+
 }  // namespace
 }  // namespace rtdb::sim

@@ -66,6 +66,43 @@ TEST(KernelTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(ticks, 4);
 }
 
+void stamp(Kernel& k, std::vector<std::string>& log, const std::string& what) {
+  log.push_back(what + "@" +
+                std::to_string(k.now().as_ticks() / kTicksPerUnit));
+}
+
+TEST(KernelTest, EventsAfterRunUntilJumpFireInTimeAndScheduleOrder) {
+  // run_until moves the clock past the last event, as rt::RtLockTable does
+  // to its private kernel. Wakes at the new instant and events a constant
+  // delay after it are then not same-instant with the last event fired;
+  // they still fire in (time, schedule) order.
+  Kernel k;
+  Semaphore sem{k, 0};
+  std::vector<std::string> log;
+  for (int i = 0; i < 2; ++i) {
+    k.spawn("w", [](Kernel& k, Semaphore& sem, std::vector<std::string>& log,
+                    std::string name) -> Task<void> {
+      co_await sem.acquire();
+      stamp(k, log, name);
+      for (int j = 0; j < 2; ++j) {
+        co_await k.delay(tu(1));
+        stamp(k, log, name + "+" + std::to_string(j));
+      }
+    }(k, sem, log, "w" + std::to_string(i)));
+  }
+  k.schedule_at(TimePoint::origin() + tu(2), [&] { stamp(k, log, "e"); });
+  k.run_until(TimePoint::origin() + tu(10));
+  EXPECT_EQ(k.now(), TimePoint::origin() + tu(10));
+  k.schedule_in(tu(1), [&] { stamp(k, log, "d1"); });
+  sem.release(2);
+  k.schedule_in(Duration::zero(), [&] { stamp(k, log, "z"); });
+  k.schedule_in(tu(1), [&] { stamp(k, log, "d2"); });
+  k.run();
+  EXPECT_EQ(log, (std::vector<std::string>{
+                     "e@2", "w0@10", "w1@10", "z@10", "d1@11", "d2@11",
+                     "w0+0@11", "w1+0@11", "w0+1@12", "w1+1@12"}));
+}
+
 TEST(KernelTest, NestedTasksPropagateValuesAndTime) {
   Kernel k;
   int result = 0;
