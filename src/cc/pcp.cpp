@@ -46,7 +46,12 @@ void PriorityCeiling::do_begin(CcTxn& txn) {
 void PriorityCeiling::do_end(CcTxn& txn) {
   assert(active_.contains(txn.id));
   active_.erase(txn.id);
-  if (txn.inherited != Priority::lowest()) --inheriting_;
+  if (txn.inherited != Priority::lowest()) {
+    auto it = std::find(inheritors_.begin(), inheritors_.end(), &txn);
+    assert(it != inheritors_.end());
+    *it = inheritors_.back();
+    inheritors_.pop_back();
+  }
   set_inherited(txn, Priority::lowest());
   remove_declarations(txn);
   // Lowered ceilings may unblock waiters.
@@ -333,12 +338,20 @@ void PriorityCeiling::add_declarations(const CcTxn& txn) {
 }
 
 void PriorityCeiling::remove_declarations(const CcTxn& txn) {
+  const Priority departing = txn.base_priority;
   for (const Operation& op : txn.access.operations()) {
     auto& decls = decls_[op.object];
     auto it = std::find_if(decls.begin(), decls.end(),
                            [&](const Declarer& d) { return d.txn == &txn; });
     assert(it != decls.end());
-    decls.erase(it);
+    *it = decls.back();  // nothing reads the declarers' order
+    decls.pop_back();
+    // A ceiling is the strongest declarer's priority, so only that
+    // declarer's departure can lower it.
+    if (departing != abs_ceiling_[op.object] &&
+        departing != write_ceiling_[op.object]) {
+      continue;
+    }
     Priority write = Priority::lowest();
     Priority abs = Priority::lowest();
     for (const Declarer& d : decls) {
@@ -373,7 +386,7 @@ bool PriorityCeiling::stabilize(const CcTxn* requester) {
     return false;
   }
   // With no waiter and no inherited priority, every step below is a no-op.
-  if (waiters_.empty() && inheriting_ == 0) return false;
+  if (waiters_.empty() && inheritors_.empty()) return false;
   stabilizing_ = true;
   struct Reset {
     bool& flag;
@@ -399,17 +412,18 @@ bool PriorityCeiling::stabilize(const CcTxn* requester) {
 
 PriorityCeiling::Backstop PriorityCeiling::resolve_dynamic_deadlock(
     const CcTxn* requester) {
-  if (waiters_.empty()) return Backstop::kQuiet;
   // Blocked-by graph: each waiter points at the holders of its current
   // strongest blocking lock (found by the last update_inheritance()).
   // Every node on a cycle is a waiter (only waiters have outgoing edges),
-  // so any victim is safely abortable. The adjacency lists live in reused
+  // so any victim is safely abortable, and a cycle needs an edge into a
+  // waiter: without a chain there is none. The adjacency lists live in reused
   // flat scratch (`ddl_targets_` spans), attached to nodes through their
   // epoch-stamped scratch marks.
+  if (!chained_) return Backstop::kQuiet;
   assert(blocking_scratch_.size() == waiters_.size());
   ddl_targets_.clear();
   ddl_spans_.clear();
-  const std::uint64_t edge_epoch = ++ddl_epoch_;
+  const std::uint64_t edge_epoch = ++epoch_;
   for (std::size_t i = 0; i < waiters_.size(); ++i) {
     const Waiter* waiter = waiters_[i];
     const LockState* blocking = blocking_scratch_[i];
@@ -432,7 +446,7 @@ PriorityCeiling::Backstop PriorityCeiling::resolve_dynamic_deadlock(
   // kept across starts: a node finished by an earlier start reaches no
   // cycle, so skipping it changes neither the first cycle found nor its
   // victim.
-  const std::uint64_t colour_epoch = ++ddl_epoch_;
+  const std::uint64_t colour_epoch = ++epoch_;
   auto colour_of = [&](const CcTxn* node) -> int {
     return node->scratch_colour_epoch == colour_epoch ? node->scratch_colour
                                                       : 0;
@@ -496,47 +510,101 @@ PriorityCeiling::Backstop PriorityCeiling::resolve_dynamic_deadlock(
 
 void PriorityCeiling::update_inheritance() {
   // "If transaction T blocks higher priority transactions, T inherits the
-  // highest priority of the transactions blocked by T." Computed to a
-  // fixpoint because inherited priorities feed back through chains. The
-  // accumulator lives in each context's scratch_priority; locks and
-  // ceilings are constant during the fixpoint, so each waiter's blocking
-  // lock is hoisted out of it.
-  for (const auto& [id, txn] : active_) {
-    (void)id;
-    txn->scratch_priority = Priority::lowest();
+  // highest priority of the transactions blocked by T." Locks and ceilings
+  // are constant during the round, so each waiter's blocking lock is found
+  // first. One scan finds the strongest-ceiling lock the way
+  // strongest_blocking_lock() does (ascending id, first strictly stronger
+  // lock kept); it is every waiter's blocking lock except for a waiter that
+  // is its only holder, and only that waiter needs a scan of its own.
+  const LockState* strongest = nullptr;
+  for (const db::ObjectId object : locked_ids_) {
+    const LockState& lock = lock_slots_[object];
+    if (strongest == nullptr ||
+        lock.rw_ceiling.higher_than(strongest->rw_ceiling)) {
+      strongest = &lock;
+    }
   }
   blocking_scratch_.clear();
   for (const Waiter* waiter : waiters_) {
-    blocking_scratch_.push_back(strongest_blocking_lock(*waiter->txn));
+    blocking_scratch_.push_back(
+        strongest == nullptr || strongest->held_by_other(*waiter->txn)
+            ? strongest
+            : strongest_blocking_lock(*waiter->txn));
   }
-  auto effective = [](const CcTxn* txn) {
-    return Priority::stronger(txn->base_priority, txn->scratch_priority);
+
+  // The accumulator is each context's scratch_priority, read as lowest()
+  // unless stamped with this round's epoch, so no sweep resets it. An
+  // inherited priority feeds back only through a waiter that holds another
+  // waiter's blocking lock; with no such chain the first pass is the
+  // fixpoint.
+  const std::uint64_t epoch = ++epoch_;
+  auto inherited_of = [epoch](const CcTxn* txn) {
+    return txn->scratch_priority_epoch == epoch ? txn->scratch_priority
+                                                : Priority::lowest();
   };
-  bool changed = true;
-  while (changed) {
-    changed = false;
+  stamped_.clear();
+  chained_ = false;
+  bool raised = false;
+  do {
+    raised = false;
     for (std::size_t i = 0; i < waiters_.size(); ++i) {
       const LockState* blocking = blocking_scratch_[i];
       if (blocking == nullptr) continue;
-      const Waiter* waiter = waiters_[i];
-      const Priority urgency = effective(waiter->txn);
+      const CcTxn* waiter = waiters_[i]->txn;
+      const Priority urgency =
+          Priority::stronger(waiter->base_priority, inherited_of(waiter));
       auto inherit = [&](CcTxn* holder) {
-        if (holder == waiter->txn) return;
-        if (urgency.higher_than(holder->scratch_priority)) {
-          holder->scratch_priority = urgency;
-          changed = true;
+        if (holder == waiter) return;
+        chained_ = chained_ || holder->blocked;
+        if (!urgency.higher_than(inherited_of(holder))) return;
+        if (holder->scratch_priority_epoch != epoch) {
+          holder->scratch_priority_epoch = epoch;
+          stamped_.push_back(holder);
         }
+        holder->scratch_priority = urgency;
+        raised = true;
       };
       if (blocking->writer != nullptr) inherit(blocking->writer);
       for (CcTxn* reader : blocking->readers) inherit(reader);
     }
+  } while (chained_ && raised);
+
+  // The stamped contexts are the new inheritors. A context's inherited
+  // priority changes iff it was an inheritor and now reads differently, or
+  // it is stamped and was not one.
+  std::size_t changes = 0;
+  CcTxn* changed = nullptr;
+  for (CcTxn* txn : inheritors_) {
+    if (inherited_of(txn) != txn->inherited) {
+      ++changes;
+      changed = txn;
+    }
   }
-  inheriting_ = 0;
-  for (const auto& [id, txn] : active_) {
-    (void)id;
-    set_inherited(*txn, txn->scratch_priority);
-    if (txn->inherited != Priority::lowest()) ++inheriting_;
+  for (CcTxn* txn : stamped_) {
+    if (txn->inherited == Priority::lowest()) {
+      ++changes;
+      changed = txn;
+    }
   }
+  if (changes == 1) {
+    // Every lock holder and every inheritor is active, so a walk of the
+    // active table would make this one call and no other.
+    assert(active_.contains(changed->id));
+    set_inherited(*changed, inherited_of(changed));
+  } else if (changes > 1) {
+    // The hooks reschedule the CPU, which hands out event sequence
+    // numbers, so several changes are applied in the active table's order.
+    [[maybe_unused]] std::size_t applied = 0;
+    for (const auto& [id, txn] : active_) {
+      (void)id;
+      const Priority inherited = inherited_of(txn);
+      if (inherited == txn->inherited) continue;
+      set_inherited(*txn, inherited);
+      ++applied;
+    }
+    assert(applied == changes);
+  }
+  inheritors_.swap(stamped_);
 }
 
 bool PriorityCeiling::grant_pass() {

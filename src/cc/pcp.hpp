@@ -146,8 +146,8 @@ class PriorityCeiling : public ConcurrencyController {
   bool can_grant(const CcTxn& txn) const;
   void grant(CcTxn& txn, db::ObjectId object, LockMode mode);
   // Incremental static-ceiling maintenance over the declaration index: a
-  // newcomer's declarations only raise ceilings; a departure recomputes the
-  // (few) objects it declared from their remaining declarers.
+  // newcomer's declarations only raise ceilings; a departure recomputes
+  // only the objects whose ceiling it set, from their remaining declarers.
   void add_declarations(const CcTxn& txn);
   void remove_declarations(const CcTxn& txn);
   void refresh_rw_ceiling(db::ObjectId object, LockState& lock);
@@ -163,11 +163,15 @@ class PriorityCeiling : public ConcurrencyController {
   // backstop's victim is that requester; its acquire() then returns the
   // abort.
   bool stabilize(const CcTxn* requester);
+  // One round of inheritance. It costs what the round changes: one scan of
+  // the locked objects, one pass over the waiters unless a chain needs
+  // more, and hooks only for the contexts whose inherited priority moved.
   void update_inheritance();
   bool grant_pass();
   // Detects a ceiling-blocking cycle among the waiters and aborts its
   // lowest-priority member: through the abort hook, or — when it is
   // `requester` — by reporting kAbortedRunning without calling the hook.
+  // Without a chain (see chained_) there is no cycle and nothing to build.
   enum class Backstop : std::uint8_t { kQuiet, kAborted, kAbortedRunning };
   Backstop resolve_dynamic_deadlock(const CcTxn* requester);
 
@@ -187,14 +191,20 @@ class PriorityCeiling : public ConcurrencyController {
   std::vector<db::ObjectId> locked_ids_;  // sorted ascending
   std::unordered_map<db::TxnId, CcTxn*> active_;
   std::vector<Waiter*> waiters_;  // priority order (highest first)
-  // Active transactions whose inherited priority is not lowest(); with no
-  // waiters either, stabilize() has nothing to do.
-  std::size_t inheriting_ = 0;
+  // Active transactions whose inherited priority is not lowest(), in no
+  // particular order; with no waiters either, stabilize() has nothing to
+  // do.
+  std::vector<CcTxn*> inheritors_;
   // Reused scratch for the stabilize loop so it allocates nothing:
-  // blocking_scratch_[i] is waiters_[i]'s strongest blocking lock, and the
-  // epoch counter pairs with the scratch marks in CcTxn (stale epochs read
-  // as unmarked).
+  // blocking_scratch_[i] is waiters_[i]'s strongest blocking lock, and
+  // stamped_ lists the contexts that inherit in the current round (it
+  // becomes inheritors_ at the round's end).
   std::vector<const LockState*> blocking_scratch_;
+  std::vector<CcTxn*> stamped_;
+  // Set by update_inheritance(): some waiter's blocking lock is held by
+  // another waiter. Only then can inheritance raise a waiter's urgency or
+  // a blocking cycle exist.
+  bool chained_ = false;
   struct DdlFrame {
     CcTxn* node = nullptr;
     std::uint32_t next = 0;
@@ -203,7 +213,9 @@ class PriorityCeiling : public ConcurrencyController {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> ddl_spans_;
   std::vector<CcTxn*> ddl_path_;
   std::vector<DdlFrame> ddl_stack_;
-  std::uint64_t ddl_epoch_ = 0;
+  // One counter for every epoch-stamped scratch mark in CcTxn (stale
+  // epochs read as unmarked).
+  std::uint64_t epoch_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t ceiling_denials_ = 0;
   std::uint64_t dynamic_deadlocks_ = 0;

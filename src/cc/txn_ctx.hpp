@@ -46,6 +46,9 @@ struct CcTxn {
   // heap allocation. Each context belongs to exactly one controller;
   // values are meaningless outside a single pass.
   sim::Priority scratch_priority = sim::Priority::lowest();
+  // PCP only: scratch_priority holds a value of the current round only when
+  // stamped with the round's epoch; otherwise it reads as lowest().
+  std::uint64_t scratch_priority_epoch = 0;
   // Locks currently held in the owning LockTable; bounds its release scan.
   std::uint32_t scratch_hold_count = 0;
   std::uint64_t scratch_edge_epoch = 0;

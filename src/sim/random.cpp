@@ -2,7 +2,8 @@
 
 #include <cassert>
 #include <cmath>
-#include <unordered_map>
+
+#include "sim/inline_vec.hpp"
 
 namespace rtdb::sim {
 
@@ -83,21 +84,36 @@ bool RandomStream::bernoulli(double p) {
 std::vector<std::uint32_t> RandomStream::sample_without_replacement(
     std::uint32_t n, std::uint32_t k) {
   assert(k <= n);
-  // Partial Fisher-Yates over a sparse view of {0..n-1}: O(k) time/space.
-  std::unordered_map<std::uint32_t, std::uint32_t> displaced;
-  displaced.reserve(k * 2);
+  // Partial Fisher-Yates over a sparse view of {0..n-1}: position p holds p
+  // unless `displaced` says otherwise. Each step displaces at most one
+  // position and k is a transaction's size, so a flat list searched
+  // linearly does the job of a hash map: O(k) space, O(k^2) compares, and
+  // no allocation beyond the result while k <= 32.
+  struct Displaced {
+    std::uint32_t position;
+    std::uint32_t value;
+  };
+  InlineVec<Displaced, 32> displaced;
+  auto find = [&](std::uint32_t position) -> Displaced* {
+    for (Displaced& d : displaced) {
+      if (d.position == position) return &d;
+    }
+    return nullptr;
+  };
   std::vector<std::uint32_t> result;
   result.reserve(k);
   for (std::uint32_t i = 0; i < k; ++i) {
     const auto j = static_cast<std::uint32_t>(
         uniform_int(i, static_cast<std::int64_t>(n) - 1));
-    auto value_at = [&](std::uint32_t idx) {
-      auto it = displaced.find(idx);
-      return it == displaced.end() ? idx : it->second;
-    };
-    const std::uint32_t picked = value_at(j);
-    displaced[j] = value_at(i);
-    result.push_back(picked);
+    Displaced* at_j = find(j);
+    const Displaced* at_i = find(i);
+    result.push_back(at_j != nullptr ? at_j->value : j);
+    const std::uint32_t moved = at_i != nullptr ? at_i->value : i;
+    if (at_j != nullptr) {
+      at_j->value = moved;
+    } else {
+      displaced.push_back(Displaced{j, moved});
+    }
   }
   return result;
 }

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <optional>
+#include <span>
+#include <vector>
+
 #include "cc_test_util.hpp"
 #include "sim/kernel.hpp"
 #include "sim/random.hpp"
@@ -297,37 +303,102 @@ TEST(PcpTest, BackstopCanPickTheRequesterItself) {
   EXPECT_TRUE(cc.quiescent(&why)) << why;
 }
 
+// A waiter that is the only holder of the strongest-ceiling lock is not
+// blocked by that lock: its blocking lock is the strongest one held by
+// someone else. Here that makes a chain w -> x -> h, in which h inherits
+// w's priority through the waiter x.
+TEST(PcpTest, SoleHolderOfStrongestLockPassesInheritanceOn) {
+  Kernel k;
+  PriorityCeiling cc{k, 10};
+  Rig rig{k, cc};
+  CcTxn w = make_txn(1, 1), h = make_txn(2, 2), x = make_txn(3, 3);
+  std::vector<std::pair<db::TxnId, std::int64_t>> hooks;
+  rig.on_priority_changed = [&](const CcTxn& t) {
+    hooks.emplace_back(t.id, t.effective_priority().key());
+  };
+  ScriptResult rw, rh, rx;
+  // x locks 0 at t=0 and requests 1 at t=2; h (which outranks 0's
+  // ceiling, x) locks 1 at t=1 and holds it until t=11, so x waits on h.
+  spawn_scripted(rig, x, {{0, LockMode::kWrite}, {1, LockMode::kWrite}},
+                 tu(0), tu(2), tu(0), rx);
+  spawn_scripted(rig, h, {{1, LockMode::kWrite}}, tu(1), tu(10), tu(0), rh);
+  // w arrives at t=3 declaring 0, which lifts 0's ceiling above 1's: 0 is
+  // now the strongest-ceiling lock and x its only holder. w waits on x.
+  spawn_scripted(rig, w, {{0, LockMode::kWrite}}, tu(3), tu(1), tu(0), rw);
+  bool checked = false;
+  k.schedule_in(tu(5), [&] {
+    ASSERT_TRUE(w.blocked);
+    ASSERT_TRUE(x.blocked);
+    EXPECT_EQ(cc.rw_ceiling(0), w.base_priority);
+    EXPECT_EQ(cc.rw_ceiling(1), h.base_priority);
+    EXPECT_EQ(x.inherited, w.base_priority);
+    EXPECT_EQ(h.inherited, w.base_priority);  // through x
+    EXPECT_EQ(w.inherited, sim::Priority::lowest());
+    checked = true;
+  });
+  k.run();
+  EXPECT_TRUE(checked);
+  // h commits at 11, x gets 1 then and commits at 13, w gets 0 at 13.
+  EXPECT_EQ(rh.committed_at, 11.0);
+  EXPECT_EQ(rx.committed_at, 13.0);
+  EXPECT_EQ(rw.committed_at, 14.0);
+  EXPECT_EQ(cc.dynamic_deadlocks(), 0u);
+  // Before w: h inherits x's priority, weaker than its own (no hook).
+  // w's block lifts x and h in one round (active-table order); h's end
+  // and x's end each drop one.
+  using Hook = std::pair<db::TxnId, std::int64_t>;
+  ASSERT_EQ(hooks.size(), 4u);
+  std::vector<Hook> sorted_round(hooks.begin(), hooks.begin() + 2);
+  std::sort(sorted_round.begin(), sorted_round.end());
+  EXPECT_EQ(sorted_round, (std::vector<Hook>{{h.id, 1}, {x.id, 1}}));
+  EXPECT_EQ(std::vector<Hook>(hooks.begin() + 2, hooks.end()),
+            (std::vector<Hook>{{h.id, 2}, {x.id, 3}}));
+  std::string why;
+  EXPECT_TRUE(cc.quiescent(&why)) << why;
+}
+
 // Property sweep: random transaction mixes with dynamic arrivals. Every
 // run must terminate, every transaction must either commit or be one of
 // the (rare) dynamic-arrival backstop victims, and the protocol state must
 // drain completely.
-class PcpPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
+class PcpPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  static constexpr std::uint32_t kObjects = 12;
+  static constexpr int kTxns = 40;
+
+  // Spawns the seed's mix of kTxns transactions over kObjects objects,
+  // arriving at random times in [0, 100].
+  void spawn_mix(Rig& rig, std::vector<CcTxn>& txns,
+                 std::vector<ScriptResult>& results) {
+    sim::RandomStream rng{GetParam()};
+    txns.assign(kTxns, CcTxn{});
+    results.assign(kTxns, ScriptResult{});
+    for (int i = 0; i < kTxns; ++i) {
+      txns[i] = make_txn(static_cast<std::uint64_t>(i + 1),
+                         rng.uniform_int(0, 1000));
+      const auto size = static_cast<std::uint32_t>(rng.uniform_int(1, 5));
+      auto objects = rng.sample_without_replacement(kObjects, size);
+      std::vector<Operation> ops;
+      const bool read_only = rng.bernoulli(0.4);
+      for (auto o : objects) {
+        ops.push_back(
+            Operation{o, read_only ? LockMode::kRead : LockMode::kWrite});
+      }
+      spawn_scripted(rig, txns[i], ops,
+                     Duration::units(rng.uniform_int(0, 100)),
+                     Duration::units(rng.uniform_int(1, 4)),
+                     Duration::units(rng.uniform_int(0, 3)), results[i]);
+    }
+  }
+};
 
 TEST_P(PcpPropertyTest, TerminatesAndDrainsUnderDynamicArrivals) {
   Kernel k;
-  constexpr std::uint32_t kObjects = 12;
   PriorityCeiling cc{k, kObjects};
   Rig rig{k, cc};
-  sim::RandomStream rng{GetParam()};
-
-  constexpr int kTxns = 40;
-  std::vector<CcTxn> txns(kTxns);
-  std::vector<ScriptResult> results(kTxns);
-  for (int i = 0; i < kTxns; ++i) {
-    txns[i] = make_txn(static_cast<std::uint64_t>(i + 1),
-                       rng.uniform_int(0, 1000));
-    const auto size = static_cast<std::uint32_t>(rng.uniform_int(1, 5));
-    auto objects = rng.sample_without_replacement(kObjects, size);
-    std::vector<Operation> ops;
-    const bool read_only = rng.bernoulli(0.4);
-    for (auto o : objects) {
-      ops.push_back(Operation{o, read_only ? LockMode::kRead : LockMode::kWrite});
-    }
-    spawn_scripted(rig, txns[i], ops,
-                   Duration::units(rng.uniform_int(0, 100)),
-                   Duration::units(rng.uniform_int(1, 4)),
-                   Duration::units(rng.uniform_int(0, 3)), results[i]);
-  }
+  std::vector<CcTxn> txns;
+  std::vector<ScriptResult> results;
+  spawn_mix(rig, txns, results);
 
   // Invariant probe: while blocked, a transaction is blocked by exactly one
   // lock, so its lower-priority *write* blockers never exceed one (several
@@ -358,6 +429,154 @@ TEST_P(PcpPropertyTest, TerminatesAndDrainsUnderDynamicArrivals) {
   EXPECT_EQ(cc.waiter_count(), 0u);
   EXPECT_EQ(cc.active_transactions(), 0u);
   (void)max_write_blockers;
+}
+
+// Every protocol step re-runs inheritance except an acquire granted on the
+// spot: it adds a lock without a new round, so until the next step that
+// runs one, inherited priorities may lag what the current locks imply.
+// Tracks, from the observer's events alone, whether the last step ran one.
+class SettleTracker : public CcObserver {
+ public:
+  bool settled() const { return settled_; }
+
+  void on_txn_begin(const CcTxn&) override { settle(); }
+  void on_txn_end(const CcTxn&) override { settle(); }
+  void on_release_all(const CcTxn&) override { settle(); }
+  void on_block(const CcTxn&, db::ObjectId, LockMode,
+                std::span<CcTxn* const>) override {
+    settle();
+  }
+  void on_unblock(const CcTxn& txn) override {
+    settle();
+    unblocked_ = &txn;
+  }
+  // A queued grant follows its waiter's unblock inside a round; any other
+  // grant is an immediate one.
+  void on_grant(const CcTxn& txn, db::ObjectId, LockMode) override {
+    if (unblocked_ != &txn) settled_ = false;
+    unblocked_ = nullptr;
+  }
+
+ private:
+  void settle() {
+    settled_ = true;
+    unblocked_ = nullptr;
+  }
+  bool settled_ = true;
+  const CcTxn* unblocked_ = nullptr;
+};
+
+// Oracle for inheritance: at every unit, recompute each context's inherited
+// priority from public state alone and compare (when the state is settled,
+// see SettleTracker). The blocking lock of a waiter is the first strictly
+// strongest locked object, in ascending id, that another context holds;
+// holders inherit the urgency of every waiter they block, to a fixpoint. A
+// shadow fed by the priority hook must match every effective priority at
+// every unit, and no hook call may repeat a priority.
+TEST_P(PcpPropertyTest, InheritanceMatchesOracleAtEveryUnit) {
+  Kernel k;
+  PriorityCeiling cc{k, kObjects};
+  Rig rig{k, cc};
+  SettleTracker tracker;
+  cc.set_observer(&tracker);
+  std::vector<CcTxn> txns;
+  std::vector<ScriptResult> results;
+  spawn_mix(rig, txns, results);
+
+  std::vector<sim::Priority> shadow;
+  for (const CcTxn& txn : txns) shadow.push_back(txn.effective_priority());
+  rig.on_priority_changed = [&](const CcTxn& txn) {
+    sim::Priority& seen = shadow.at(txn.id.value - 1);
+    EXPECT_NE(seen, txn.effective_priority())
+        << "hook without a change for txn " << txn.id.value;
+    seen = txn.effective_priority();
+  };
+
+  auto oracle = [&] {
+    std::vector<std::vector<std::size_t>> holders(kObjects);
+    for (db::ObjectId o = 0; o < kObjects; ++o) {
+      for (std::size_t t = 0; t < txns.size(); ++t) {
+        if (cc.holds(txns[t], o, LockMode::kRead)) holders[o].push_back(t);
+      }
+    }
+    std::vector<std::pair<std::size_t, std::optional<db::ObjectId>>> waits;
+    for (std::size_t t = 0; t < txns.size(); ++t) {
+      if (!txns[t].blocked) continue;
+      std::optional<db::ObjectId> best;
+      for (db::ObjectId o = 0; o < kObjects; ++o) {
+        const auto ceiling = cc.rw_ceiling(o);
+        if (!ceiling) continue;
+        if (std::none_of(holders[o].begin(), holders[o].end(),
+                         [&](std::size_t h) { return h != t; })) {
+          continue;
+        }
+        if (!best || ceiling->higher_than(*cc.rw_ceiling(*best))) best = o;
+      }
+      waits.emplace_back(t, best);
+    }
+    std::vector<sim::Priority> inherited(txns.size(), sim::Priority::lowest());
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (const auto& [t, blocking] : waits) {
+        if (!blocking) continue;
+        const sim::Priority urgency =
+            sim::Priority::stronger(txns[t].base_priority, inherited[t]);
+        for (const std::size_t h : holders[*blocking]) {
+          if (h != t && urgency.higher_than(inherited[h])) {
+            inherited[h] = urgency;
+            changed = true;
+          }
+        }
+      }
+    }
+    return inherited;
+  };
+
+  auto finished = [&] {
+    for (std::size_t t = 0; t < txns.size(); ++t) {
+      if (!results[t].committed && !results[t].self_aborted &&
+          !rig.hook_aborted(txns[t])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  int compared = 0;
+  int units = 0;
+  int inheriting = 0;
+  std::function<void()> probe = [&] {
+    ++units;
+    for (std::size_t t = 0; t < txns.size(); ++t) {
+      EXPECT_EQ(shadow[t], txns[t].effective_priority())
+          << "txn " << t + 1 << " at " << k.now().as_units();
+    }
+    if (tracker.settled()) {
+      ++compared;
+      const std::vector<sim::Priority> expected = oracle();
+      for (std::size_t t = 0; t < txns.size(); ++t) {
+        EXPECT_EQ(txns[t].inherited, expected[t])
+            << "txn " << t + 1 << " at " << k.now().as_units();
+      }
+      if (std::any_of(expected.begin(), expected.end(), [](sim::Priority p) {
+            return p != sim::Priority::lowest();
+          })) {
+        ++inheriting;
+      }
+    }
+    // The mixes drain within 400 units; a hang fails below, not here.
+    if (!finished() && k.now().as_units() < 1000) k.schedule_in(tu(1), probe);
+  };
+  k.schedule_in(tu(0), probe);
+  k.run();
+
+  EXPECT_TRUE(finished());
+  rig.abort_stranded();
+  // About half the units are settled on these mixes; nearly all of those
+  // have an inheritor.
+  EXPECT_GT(compared * 4, units);
+  EXPECT_GT(inheriting, 0) << "no compared unit had an inheritor";
+  EXPECT_EQ(cc.waiter_count(), 0u);
+  EXPECT_EQ(cc.active_transactions(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PcpPropertyTest,

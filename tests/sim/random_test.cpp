@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 namespace rtdb::sim {
 namespace {
@@ -108,6 +109,41 @@ TEST(RandomTest, SampleFullPopulationIsPermutation) {
   auto sample = r.sample_without_replacement(10, 10);
   std::sort(sample.begin(), sample.end());
   for (std::uint32_t i = 0; i < 10; ++i) EXPECT_EQ(sample[i], i);
+}
+
+// Exact draws, recorded from the hash-map implementation this one
+// replaced. Every workload's object sets come from this call, so any
+// change to its outputs or to the uniform_int calls it makes moves every
+// artifact. Two draws per stream check that the stream advances the same.
+TEST(RandomTest, SampleWithoutReplacementPinnedOutputs) {
+  struct Case {
+    std::uint64_t seed;
+    std::uint32_t n;
+    std::uint32_t k;
+    std::vector<std::uint32_t> first;
+    std::vector<std::uint32_t> second;
+  };
+  const Case cases[] = {
+      {1, 200, 12,
+       {157, 11, 142, 8, 103, 102, 194, 196, 105, 132, 31, 54},
+       {1, 72, 11, 173, 47, 181, 174, 98, 89, 153, 117, 187}},
+      {7, 200, 20,
+       {194, 81, 188, 166, 136, 91, 4, 185, 168, 134,
+        113, 72, 7, 86, 13, 128, 167, 95, 183, 149},
+       {185, 73, 119, 23, 82, 134, 91, 2, 83, 24,
+        12, 79, 9, 199, 174, 113, 62, 47, 108, 81}},
+      {3, 10, 10, {8, 2, 3, 1, 6, 7, 0, 9, 5, 4}, {2, 5, 9, 6, 3, 8, 1, 7, 4, 0}},
+      {5, 640, 8,
+       {105, 46, 570, 129, 521, 215, 113, 233},
+       {633, 401, 355, 481, 386, 281, 29, 175}},
+  };
+  for (const Case& c : cases) {
+    RandomStream r{c.seed};
+    EXPECT_EQ(r.sample_without_replacement(c.n, c.k), c.first)
+        << "seed " << c.seed << " n " << c.n << " k " << c.k;
+    EXPECT_EQ(r.sample_without_replacement(c.n, c.k), c.second)
+        << "seed " << c.seed << " n " << c.n << " k " << c.k;
+  }
 }
 
 TEST(RandomTest, SampleCoversPopulationUniformly) {
