@@ -228,24 +228,6 @@ bool PriorityCeiling::is_locked(db::ObjectId object) const {
   return object < lock_slots_.size() && !lock_slots_[object].empty();
 }
 
-std::vector<db::TxnId> PriorityCeiling::lower_priority_blockers_of(
-    const CcTxn& txn) const {
-  // The transactions with priority lower than txn's base priority that hold
-  // the lock blocking txn right now.
-  std::vector<db::TxnId> result;
-  if (!txn.blocked) return result;
-  const LockState* blocking = strongest_blocking_lock(txn);
-  if (blocking == nullptr) return result;
-  auto consider = [&](const CcTxn* holder) {
-    if (holder != &txn && txn.base_priority.higher_than(holder->base_priority)) {
-      result.push_back(holder->id);
-    }
-  };
-  if (blocking->writer != nullptr) consider(blocking->writer);
-  for (const CcTxn* reader : blocking->readers) consider(reader);
-  return result;
-}
-
 std::size_t PriorityCeiling::lower_priority_blocking_txns(
     const CcTxn& txn) const {
   std::vector<const CcTxn*> blockers;  // distinct; populations are tiny

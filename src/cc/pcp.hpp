@@ -91,9 +91,6 @@ class PriorityCeiling : public ConcurrencyController {
   // Ceiling-blocking cycles broken by the dynamic-arrival backstop. Always
   // zero for static task sets.
   std::uint64_t dynamic_deadlocks() const { return dynamic_deadlocks_; }
-  // The lower-priority transactions currently blocking `txn` (the PCP
-  // invariant bounds this at one).
-  std::vector<db::TxnId> lower_priority_blockers_of(const CcTxn& txn) const;
   // Distinct transactions of lower base priority than `txn` currently
   // holding a lock whose rw ceiling would deny txn's requests. For a
   // static task set the protocol provably bounds this at one — the

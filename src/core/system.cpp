@@ -460,7 +460,7 @@ void System::crash_site(net::SiteId site) {
   Site& s = sites_[site];
   if (s.server != nullptr) {
     s.server->stop();
-    network_->inbox(site).clear();  // undispatched inbox dies with the site
+    network_->clear_inbox(site);  // undispatched inbox dies with the site
   }
   if (s.channel != nullptr) s.channel->on_crash();
   if (s.batch != nullptr) s.batch->on_crash();

@@ -60,16 +60,7 @@ sim::Task<void> FailoverCoordinator::beat_loop() {
   while (true) {
     co_await server_.kernel().delay(options_.heartbeat_interval);
     if (hooks_.keep_running && !hooks_.keep_running()) co_return;
-    for (SiteId site = 0; site < options_.site_count; ++site) {
-      if (site == server_.site()) continue;
-      const HeartbeatMsg beat{state_.term(), state_.manager(),
-                              options_.shard};
-      if (batch_ != nullptr) {
-        batch_->send_raw(site, beat);
-      } else {
-        server_.send(site, beat);
-      }
-    }
+    broadcast_view<HeartbeatMsg>();
     apply_tick_event(state_.tick(server_.kernel().now()));
   }
 }
@@ -85,7 +76,7 @@ void FailoverCoordinator::apply_tick_event(ElectionState::Event event) {
       if (hooks_.manager_changed) {
         hooks_.manager_changed(state_.manager(), state_.term());
       }
-      broadcast_elected();
+      broadcast_view<ManagerElectedMsg>();
       break;
     case ElectionState::Event::kFenced:
       if (hooks_.set_fenced) hooks_.set_fenced(true);
@@ -105,11 +96,11 @@ void FailoverCoordinator::apply_tick_event(ElectionState::Event event) {
   }
 }
 
-void FailoverCoordinator::broadcast_elected() {
+template <typename Msg>
+void FailoverCoordinator::broadcast_view() {
   for (SiteId site = 0; site < options_.site_count; ++site) {
     if (site == server_.site()) continue;
-    const ManagerElectedMsg msg{state_.term(), state_.manager(),
-                                options_.shard};
+    const Msg msg{state_.term(), state_.manager(), options_.shard};
     if (batch_ != nullptr) {
       batch_->send_raw(site, msg);
     } else {

@@ -114,7 +114,13 @@ class FailoverCoordinator {
   sim::Task<void> beat_loop();
   std::string loop_name() const;
   void apply_tick_event(ElectionState::Event event);
-  void broadcast_elected();
+  // Sends this site's view of the election (term, manager, shard) as a Msg
+  // to every other site: a HeartbeatMsg each beat, a ManagerElectedMsg on
+  // promotion. A plain function, not part of beat_loop: in the coroutine
+  // frame GCC stores the message field by field and reloads it with one
+  // wider load, which the CPU cannot forward from those stores.
+  template <typename Msg>
+  void broadcast_view();
 
   net::MessageServer& server_;
   Options options_;

@@ -18,7 +18,7 @@ BatchChannel::~BatchChannel() {
   if (timer_armed_) server_.kernel().cancel_event(timer_);
 }
 
-void BatchChannel::enqueue(SiteId to, Payload payload, bool reliable) {
+std::vector<Payload>& BatchChannel::queue_for(SiteId to, bool reliable) {
   Queues& queues = queues_[to];
   if (queues.reliable.empty() && queues.raw.empty()) pending_.push_back(to);
   std::vector<Payload>& items = reliable ? queues.reliable : queues.raw;
@@ -26,7 +26,6 @@ void BatchChannel::enqueue(SiteId to, Payload payload, bool reliable) {
     items = std::move(spare_.back());
     spare_.pop_back();
   }
-  items.push_back(std::move(payload));
   ++batched_messages_;
   if (!timer_armed_) {
     timer_armed_ = true;
@@ -35,6 +34,7 @@ void BatchChannel::enqueue(SiteId to, Payload payload, bool reliable) {
       on_timer();
     });
   }
+  return items;
 }
 
 void BatchChannel::flush(SiteId to) {

@@ -76,7 +76,7 @@ class BatchChannel {
       }
       return;
     }
-    enqueue(to, Payload{std::forward<T>(message)}, /*reliable=*/true);
+    queue_for(to, /*reliable=*/true).emplace_back(std::forward<T>(message));
   }
 
   // Fire-and-forget pathway (heartbeats).
@@ -86,7 +86,7 @@ class BatchChannel {
       server_.send(to, std::forward<T>(message));
       return;
     }
-    enqueue(to, Payload{std::forward<T>(message)}, /*reliable=*/false);
+    queue_for(to, /*reliable=*/false).emplace_back(std::forward<T>(message));
   }
 
   // Flushes everything queued for `to` right now. Callers that are about
@@ -110,7 +110,9 @@ class BatchChannel {
     std::vector<Payload> raw;
   };
 
-  void enqueue(SiteId to, Payload payload, bool reliable);
+  // The queue a payload for `to` joins, counted as batched; arms the
+  // flush timer. The caller builds the payload in place at its back.
+  std::vector<Payload>& queue_for(SiteId to, bool reliable);
   void flush_queues(SiteId to);
   void send_frame(SiteId to, std::vector<Payload>& items, bool reliable);
   void on_timer();

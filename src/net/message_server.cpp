@@ -1,6 +1,7 @@
 #include "net/message_server.hpp"
 
 #include <cassert>
+#include <optional>
 
 namespace rtdb::net {
 
@@ -44,11 +45,12 @@ void MessageServer::dispatch(SiteId from, Payload& payload) {
 sim::Task<void> MessageServer::dispatch_loop() {
   auto& inbox = network_.inbox(site_);
   for (;;) {
-    auto envelope = co_await inbox.receive();
+    const std::optional<std::uint32_t> slot = co_await inbox.receive();
     // "When the MS retrieves a message, it wakes the sender process and
     // forwards the message to the proper servers or TM."
-    if (envelope->on_retrieved) envelope->on_retrieved();
-    dispatch(envelope->from, envelope->body);
+    Envelope envelope = network_.retrieve(*slot);
+    if (envelope.on_retrieved) envelope.on_retrieved();
+    dispatch(envelope.from, envelope.body);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 namespace rtdb::net {
 
@@ -13,7 +14,7 @@ Network::Network(sim::Kernel& kernel, std::uint32_t site_count,
   assert(site_count >= 1);
   inboxes_.reserve(site_count);
   for (std::uint32_t i = 0; i < site_count; ++i) {
-    inboxes_.push_back(std::make_unique<sim::Mailbox<Envelope>>(kernel));
+    inboxes_.push_back(std::make_unique<sim::Mailbox<std::uint32_t>>(kernel));
   }
   // No delay from a site to itself.
   for (std::uint32_t i = 0; i < site_count; ++i) {
@@ -103,14 +104,14 @@ void Network::lift_partition(const FaultSpec::Partition& partition) {
   }
 }
 
-void Network::send(Envelope envelope) {
+void Network::send(Envelope&& envelope) {
   assert(envelope.from < site_count() && envelope.to < site_count());
   ++sent_;
   const sim::Duration d = delay(envelope.from, envelope.to);
   if (envelope.from == envelope.to && d.is_zero()) {
     // Intra-site communication bypasses the Message Server and the fault
     // model alike.
-    deliver(std::move(envelope));
+    deliver(occupy(std::move(envelope)));
     return;
   }
   if (!up_[envelope.from]) {
@@ -139,20 +140,20 @@ void Network::send(Envelope envelope) {
   schedule_delivery(std::move(envelope), d);
 }
 
-void Network::schedule_delivery(Envelope&& envelope, sim::Duration delay) {
-  auto slot = static_cast<std::uint32_t>(in_flight_.size());
+std::uint32_t Network::occupy(Envelope&& envelope) {
   if (free_slots_.empty()) {
     in_flight_.push_back(std::move(envelope));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    in_flight_[slot] = std::move(envelope);
+    return static_cast<std::uint32_t>(in_flight_.size() - 1);
   }
-  kernel_.schedule_in(delay, [this, slot] {
-    Envelope arrived = std::move(in_flight_[slot]);
-    free_slots_.push_back(slot);
-    deliver(std::move(arrived));
-  });
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  in_flight_[slot] = std::move(envelope);
+  return slot;
+}
+
+void Network::schedule_delivery(Envelope&& envelope, sim::Duration delay) {
+  const std::uint32_t slot = occupy(std::move(envelope));
+  kernel_.schedule_in(delay, [this, slot] { deliver(slot); });
 }
 
 void Network::broadcast(SiteId from, const Payload& body) {
@@ -162,16 +163,31 @@ void Network::broadcast(SiteId from, const Payload& body) {
   }
 }
 
-void Network::deliver(Envelope&& envelope) {
-  if (!up_[envelope.to]) {
+void Network::deliver(std::uint32_t slot) {
+  const SiteId to = in_flight_[slot].to;
+  if (!up_[to]) {
     ++dropped_;
+    retrieve(slot);  // the lost envelope dies here
     return;
   }
   ++delivered_;
-  inboxes_[envelope.to]->send(std::move(envelope));
+  inboxes_[to]->send(slot);
 }
 
-sim::Mailbox<Envelope>& Network::inbox(SiteId site) {
+Envelope Network::retrieve(std::uint32_t slot) {
+  assert(slot < in_flight_.size());
+  Envelope envelope = std::move(in_flight_[slot]);
+  free_slots_.push_back(slot);
+  return envelope;
+}
+
+void Network::clear_inbox(SiteId site) {
+  while (const std::optional<std::uint32_t> slot = inbox(site).try_take()) {
+    retrieve(*slot);
+  }
+}
+
+sim::Mailbox<std::uint32_t>& Network::inbox(SiteId site) {
   assert(site < site_count());
   return *inboxes_[site];
 }

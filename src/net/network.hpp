@@ -73,12 +73,23 @@ class Network {
   // delay(from, to). Intra-site messages bypass the network (delivered
   // immediately), matching the paper: "inter-process communication within a
   // site does not go through the Message Server".
-  void send(Envelope envelope);
+  void send(Envelope&& envelope);
 
   // Sends a copy of `body` from `from` to every other site.
   void broadcast(SiteId from, const Payload& body);
 
-  sim::Mailbox<Envelope>& inbox(SiteId site);
+  // The slots of the messages delivered to `site`, in arrival order.
+  sim::Mailbox<std::uint32_t>& inbox(SiteId site);
+  // Moves the envelope out of a slot taken from an inbox and frees the
+  // slot, once: a handler's send may grow the slot table.
+  Envelope retrieve(std::uint32_t slot);
+  // Site crash: frees the slots still queued in `site`'s inbox, including
+  // one handed to a dispatcher that was killed before it resumed.
+  void clear_inbox(SiteId site);
+  // Slots holding a message in transit or in an inbox.
+  std::size_t occupied_slots() const {
+    return in_flight_.size() - free_slots_.size();
+  }
 
   std::uint64_t messages_sent() const { return sent_; }
   std::uint64_t messages_delivered() const { return delivered_; }
@@ -95,15 +106,17 @@ class Network {
   }
 
  private:
-  void deliver(Envelope&& envelope);
+  std::uint32_t occupy(Envelope&& envelope);
   void schedule_delivery(Envelope&& envelope, sim::Duration delay);
+  void deliver(std::uint32_t slot);
 
   sim::Kernel& kernel_;
-  // Envelopes between send and delivery. Each delivery event captures only
-  // its slot's index, so scheduling one allocates nothing; slots are reused.
+  // Envelopes between send and retrieval. A delivery event and an inbox
+  // entry carry only the slot's index, so the envelope moves in once and
+  // out once; slots are reused.
   std::vector<Envelope> in_flight_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::unique_ptr<sim::Mailbox<Envelope>>> inboxes_;
+  std::vector<std::unique_ptr<sim::Mailbox<std::uint32_t>>> inboxes_;
   std::vector<sim::Duration> delays_;  // site_count x site_count
   std::vector<bool> up_;
   // Per-directed-link cut depth (site_count x site_count); lazily sized on

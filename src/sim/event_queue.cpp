@@ -6,7 +6,7 @@
 
 namespace rtdb::sim {
 
-EventId EventQueue::schedule(TimePoint when, EventCallback callback) {
+EventId EventQueue::schedule(TimePoint when, EventCallback&& callback) {
   if (free_slots_.empty()) {
     free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()));
     slots_.emplace_back();

@@ -49,7 +49,7 @@ struct EventId {
 // outnumber live ones.
 class EventQueue {
  public:
-  EventId schedule(TimePoint when, EventCallback callback);
+  EventId schedule(TimePoint when, EventCallback&& callback);
 
   // Returns true if the event was still pending and is now cancelled.
   bool cancel(EventId id);

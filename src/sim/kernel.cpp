@@ -5,12 +5,12 @@
 
 namespace rtdb::sim {
 
-EventId Kernel::schedule_at(TimePoint when, EventCallback cb) {
+EventId Kernel::schedule_at(TimePoint when, EventCallback&& cb) {
   assert(when >= now_);
   return events_.schedule(when, std::move(cb));
 }
 
-EventId Kernel::schedule_in(Duration delay, EventCallback cb) {
+EventId Kernel::schedule_in(Duration delay, EventCallback&& cb) {
   assert(!delay.is_negative());
   return schedule_at(now_ + delay, std::move(cb));
 }

@@ -27,8 +27,10 @@ class Kernel {
   // ---- time ----
   TimePoint now() const { return now_; }
 
-  EventId schedule_at(TimePoint when, EventCallback cb);
-  EventId schedule_in(Duration delay, EventCallback cb);
+  // By rvalue reference, so a callback moves once, into its event slot; a
+  // named one is passed as an explicit copy.
+  EventId schedule_at(TimePoint when, EventCallback&& cb);
+  EventId schedule_in(Duration delay, EventCallback&& cb);
   bool cancel_event(EventId id) { return events_.cancel(id); }
 
   // ---- process control ----

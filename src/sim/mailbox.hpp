@@ -157,11 +157,6 @@ class Mailbox : public Waitable {
     return SendAwaiter{*this, std::move(item), timeout};
   }
 
-  // Discards every queued (not yet retrieved) message. Blocked senders and
-  // receivers are untouched — a rendezvous sender keeps waiting for its
-  // timeout. Used to model a site crash losing its undispatched inbox.
-  void clear() { items_.clear(); }
-
   std::size_t queued() const { return items_.size(); }
   std::size_t waiting_receivers() const { return receivers_.size(); }
   std::size_t waiting_senders() const { return senders_.size(); }
