@@ -29,14 +29,9 @@ for bin in "$build"/bench/*; do
   [ -f "$bin" ] && [ -x "$bin" ] || continue
   name="$(basename "$bin")"
   echo "== $name =="
-  if [ "$name" = micro_kernel ]; then
-    # google-benchmark suite: its JSON is the benchmark schema.
-    "$bin" --json "$out/$name.json" > "$out/$name.txt" || failed+=("$name")
-  else
-    "$bin" --quiet --jobs "$jobs" \
-      --json "$out/$name.json" --csv "$out/$name.csv" "$@" \
-      > "$out/$name.txt" || failed+=("$name")
-  fi
+  "$bin" --quiet --jobs "$jobs" \
+    --json "$out/$name.json" --csv "$out/$name.csv" "$@" \
+    > "$out/$name.txt" || failed+=("$name")
 done
 
 if [ "${#failed[@]}" -gt 0 ]; then

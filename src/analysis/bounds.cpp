@@ -4,6 +4,7 @@
 #include <string>
 
 #include "dist/election.hpp"
+#include "net/reliable.hpp"
 
 namespace rtdb::analysis {
 
@@ -90,7 +91,7 @@ bool compute_margin(const core::SystemConfig& config, sim::Duration* margin,
       // last retry: the full exponential backoff ladder plus one hop per
       // resend (net/reliable.hpp's schedule, evaluated statically).
       sim::Duration backoff = config.backoff_base;
-      for (int attempt = 0; attempt < config.retransmit_max; ++attempt) {
+      for (int attempt = 0; attempt < net::kRetransmitMax; ++attempt) {
         *margin += std::min(backoff, config.backoff_max) + hop;
         backoff = backoff * 2;
       }
@@ -98,7 +99,7 @@ bool compute_margin(const core::SystemConfig& config, sim::Duration* margin,
     if (!config.faults.crashes.empty() || !config.faults.partitions.empty()) {
       // Failure detection + promotion window before a successor manager
       // resumes granting (dist/failover.hpp).
-      *margin += config.heartbeat_interval *
+      *margin += dist::kHeartbeatInterval *
                  (static_cast<std::int64_t>(dist::kHeartbeatMissThreshold) +
                   2);
     }

@@ -111,7 +111,7 @@ struct SystemConfig {
   // to the same destination within this window coalesce into one framed
   // message (net::BatchChannel). Zero = off — the channel is an exact
   // passthrough and runs stay byte-identical to builds without it. Keep
-  // the window well under heartbeat_interval: the partitioned scheme's
+  // the window well under dist::kHeartbeatInterval: the partitioned scheme's
   // heartbeats ride the batch too (the global scheme's go out raw), and a
   // window that swallows a whole beat delays failure detection.
   sim::Duration batch_window{};
@@ -133,14 +133,13 @@ struct SystemConfig {
   // heartbeat-driven FailoverCoordinator; when the elected manager crashes,
   // the next live site by id promotes itself and rebuilds the lock state
   // from the clients' re-registrations. The manager is declared dead after
-  // dist::kHeartbeatMissThreshold silent intervals, and its lease lasts
-  // one interval less.
+  // dist::kHeartbeatMissThreshold silent dist::kHeartbeatInterval beats,
+  // and its lease lasts one beat less.
   bool enable_failover = true;
-  sim::Duration heartbeat_interval = sim::Duration::units(20);
-  // Reliable control channel (acked, retransmitting): retries per message,
-  // the base of the exponential retransmission backoff, and its saturation
-  // cap (a long partition must not double the wait into overflow).
-  int retransmit_max = 5;
+  // Reliable control channel (acked, retransmitting; net::kRetransmitMax
+  // retries per message): the base of the exponential retransmission
+  // backoff, and its saturation cap (a long partition must not double the
+  // wait into overflow).
   sim::Duration backoff_base = sim::Duration::units(8);
   sim::Duration backoff_max = sim::Duration::units(256);
 

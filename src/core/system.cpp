@@ -190,7 +190,7 @@ void System::build_local_ceiling() {
     site.server = std::make_unique<net::MessageServer>(kernel_, *network_, id);
     site.channel = std::make_unique<net::ReliableChannel>(
         *site.server,
-        net::ReliableChannel::Options{faulty, config_.retransmit_max,
+        net::ReliableChannel::Options{faulty, net::kRetransmitMax,
                                       config_.backoff_base,
                                       config_.backoff_max},
         sim::RandomStream{config_.seed}.fork(kChannelStream + id));
@@ -200,7 +200,7 @@ void System::build_local_ceiling() {
         *site.server, *site.rm,
         dist::RecoveryManager::Options{
             faulty ? 3 : 1,
-            faulty ? config_.heartbeat_interval * 2 : sim::Duration::zero()},
+            faulty ? dist::kHeartbeatInterval * 2 : sim::Duration::zero()},
         site.channel.get());
     site.cc =
         std::make_unique<cc::PriorityCeiling>(kernel_, config_.db_objects);
@@ -249,7 +249,7 @@ void System::build_partitioned_ceiling() {
     // passthrough, keeping those runs bit-identical to earlier versions.
     site.channel = std::make_unique<net::ReliableChannel>(
         *site.server,
-        net::ReliableChannel::Options{faulty, config_.retransmit_max,
+        net::ReliableChannel::Options{faulty, net::kRetransmitMax,
                                       config_.backoff_base,
                                       config_.backoff_max},
         sim::RandomStream{config_.seed}.fork(kChannelStream + id));
@@ -259,7 +259,7 @@ void System::build_partitioned_ceiling() {
         *site.server, site.channel.get(),
         net::BatchChannel::Options{config_.batch_window});
     site.rpc_client = std::make_unique<net::RpcClient>(*site.server);
-    site.rpc_dispatcher = std::make_unique<net::RpcDispatcher>(*site.server);
+    site.rpc_server = std::make_unique<net::RpcServer>(*site.server);
     // Presumed abort only matters once faults can lose the decision; the
     // fault-free default (zero timeout = wait forever) keeps runs
     // byte-identical to earlier artifact versions. Under faults the
@@ -268,7 +268,7 @@ void System::build_partitioned_ceiling() {
     const sim::Duration decision_timeout =
         faulty ? config_.commit_vote_timeout * 2 : sim::Duration::zero();
     site.data_server = std::make_unique<dist::DataServer>(
-        *site.server, *site.rpc_dispatcher, *site.rm,
+        *site.server, *site.rpc_server, *site.rm,
         txn::CommitParticipant::Options{decision_timeout, faulty});
     site.coordinator = std::make_unique<txn::CommitCoordinator>(*site.server);
     // Peer outcome queries are also answered from the co-located
@@ -287,14 +287,14 @@ void System::build_partitioned_ceiling() {
           *site.server, *site.rm,
           dist::RecoveryManager::Options{
               faulty ? 3 : 1,
-              faulty ? config_.heartbeat_interval * 2 : sim::Duration::zero()},
+              faulty ? dist::kHeartbeatInterval * 2 : sim::Duration::zero()},
           site.channel.get());
     }
     // Under faults an acquire RPC can die with the manager; the per-try
     // timeout re-issues it (at the new manager once failover completes).
     // The window covers detection plus one failover round.
     const sim::Duration acquire_timeout =
-        faulty ? config_.heartbeat_interval *
+        faulty ? dist::kHeartbeatInterval *
                      static_cast<std::int64_t>(dist::kHeartbeatMissThreshold +
                                                2)
                : sim::Duration::zero();
@@ -306,7 +306,7 @@ void System::build_partitioned_ceiling() {
     // One handler slot per message type per site: the router owns them all
     // and demultiplexes on the shard field.
     site.router = std::make_unique<dist::ShardRouter>(
-        *site.server, *site.rpc_dispatcher, shards);
+        *site.server, *site.rpc_server, shards);
     site.shard_managers.resize(shards);
     site.shard_failovers.resize(shards);
     for (std::uint32_t shard = 0; shard < shards; ++shard) {
@@ -328,7 +328,7 @@ void System::build_partitioned_ceiling() {
             std::make_unique<dist::FailoverCoordinator>(
                 *site.server,
                 dist::FailoverCoordinator::Options{
-                    config_.heartbeat_interval,
+                    dist::kHeartbeatInterval,
                     /*initial_manager=*/shard, config_.sites, shard},
                 dist::FailoverCoordinator::Hooks{
                     [manager = site.shard_managers[shard].get()](

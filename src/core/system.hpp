@@ -80,7 +80,7 @@ class System {
     // passthrough when config.batch_window is zero.
     std::unique_ptr<net::BatchChannel> batch;
     std::unique_ptr<net::RpcClient> rpc_client;
-    std::unique_ptr<net::RpcDispatcher> rpc_dispatcher;
+    std::unique_ptr<net::RpcServer> rpc_server;
     std::unique_ptr<sched::PreemptiveCpu> cpu;
     std::unique_ptr<sched::IoSubsystem> io;
     std::unique_ptr<db::ResourceManager> rm;

@@ -8,6 +8,10 @@
 
 namespace rtdb::dist {
 
+// Interval between heartbeats in a System's failover coordinators, and
+// the unit of its failure-detection and lease windows.
+inline constexpr sim::Duration kHeartbeatInterval = sim::Duration::units(20);
+
 // Missed heartbeat intervals before a manager is declared dead: the
 // election window is heartbeat_interval * kHeartbeatMissThreshold, and a
 // lease lives one beat less.
@@ -35,7 +39,7 @@ class ElectionState {
     net::SiteId self = 0;
     std::uint32_t site_count = 0;
     net::SiteId initial_manager = 0;
-    sim::Duration heartbeat_interval = sim::Duration::units(20);
+    sim::Duration heartbeat_interval = kHeartbeatInterval;
   };
 
   enum class Event : std::uint8_t {

@@ -50,7 +50,7 @@ struct ManagerElectedMsg {
 class FailoverCoordinator {
  public:
   struct Options {
-    sim::Duration heartbeat_interval = sim::Duration::units(20);
+    sim::Duration heartbeat_interval = kHeartbeatInterval;
     net::SiteId initial_manager = 0;
     std::uint32_t site_count = 0;
     // The shard whose manager this coordinator elects. Stamped into

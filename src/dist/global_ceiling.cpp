@@ -312,7 +312,7 @@ void GlobalCeilingManager::finish_abort(Mirror& mirror) {
 
 // ---- DataServer ----
 
-DataServer::DataServer(net::MessageServer& server, net::RpcDispatcher& rpc,
+DataServer::DataServer(net::MessageServer& server, net::RpcServer& rpc,
                        db::ResourceManager& rm,
                        txn::CommitParticipant::Options participant_options)
     : server_(server),

@@ -228,7 +228,7 @@ class DataServer {
   // `participant_options` configures the embedded 2PC participant (a
   // nonzero decision timeout arms presumed abort; see
   // txn::CommitParticipant::Options).
-  DataServer(net::MessageServer& server, net::RpcDispatcher& rpc,
+  DataServer(net::MessageServer& server, net::RpcServer& rpc,
              db::ResourceManager& rm,
              txn::CommitParticipant::Options participant_options);
 

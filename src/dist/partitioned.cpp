@@ -9,7 +9,7 @@ using net::SiteId;
 
 // ---- ShardRouter ----
 
-ShardRouter::ShardRouter(net::MessageServer& server, net::RpcDispatcher& rpc,
+ShardRouter::ShardRouter(net::MessageServer& server, net::RpcServer& rpc,
                          std::uint32_t shards)
     : server_(server),
       shards_(shards),

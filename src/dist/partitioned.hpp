@@ -28,7 +28,7 @@ namespace rtdb::dist {
 // the `shard` field every control message carries.
 class ShardRouter {
  public:
-  ShardRouter(net::MessageServer& server, net::RpcDispatcher& rpc,
+  ShardRouter(net::MessageServer& server, net::RpcServer& rpc,
               std::uint32_t shards);
 
   ShardRouter(const ShardRouter&) = delete;

@@ -57,14 +57,6 @@ class BatchChannel {
   BatchChannel(const BatchChannel&) = delete;
   BatchChannel& operator=(const BatchChannel&) = delete;
 
-  // Registers the handler for payloads of type T, arriving either
-  // directly (unbatched sender / disabled channel), inside a BatchMsg frame
-  // or inside a reliable wrapper. The same as registering it on the server.
-  template <typename T, typename F>
-  void on(F handler) {
-    server_.on<T>(std::move(handler));
-  }
-
   // Reliable pathway (registrations, releases, election results).
   template <typename T>
   void send(SiteId to, T&& message) {

@@ -7,8 +7,8 @@ namespace rtdb::net {
 ReliableChannel::ReliableChannel(MessageServer& server, Options options,
                                  sim::RandomStream stream)
     : server_(server), options_(options), stream_(stream) {
-  server_.on<ReliableMsg>([this](SiteId from, ReliableMsg message) {
-    handle_wrapped(from, std::move(message));
+  server_.on<ReliableMsg>([this](SiteId from, ReliableMsg&& message) {
+    handle_wrapped(from, message);
   });
   server_.on<ReliableAckMsg>(
       [this](SiteId, ReliableAckMsg message) { handle_ack(message.seq); });
@@ -20,7 +20,7 @@ ReliableChannel::~ReliableChannel() {
   }
 }
 
-void ReliableChannel::send_reliable(SiteId to, Payload payload) {
+void ReliableChannel::send_reliable(SiteId to, Payload&& payload) {
   const std::uint64_t seq = next_seq_++;
   Pending& pending = pending_[seq];
   pending.to = to;
@@ -65,7 +65,7 @@ void ReliableChannel::on_timer(std::uint64_t seq) {
   arm_timer(seq, pending);
 }
 
-void ReliableChannel::handle_wrapped(SiteId from, ReliableMsg message) {
+void ReliableChannel::handle_wrapped(SiteId from, ReliableMsg& message) {
   // Ack every copy: the first ack may have been dropped.
   server_.send(from, ReliableAckMsg{message.seq});
   if (!seen_[from].insert(message.seq).second) {

@@ -12,6 +12,9 @@
 
 namespace rtdb::net {
 
+// Retransmissions per message before a System's reliable channels give up.
+inline constexpr int kRetransmitMax = 5;
+
 // Sequence-numbered wrapper around an application payload. The receiver
 // acks every copy it sees (the first ack may itself be lost) and hands the
 // payload to its MessageServer's handler table exactly once.
@@ -48,7 +51,7 @@ class ReliableChannel {
     bool enabled = false;
     // Retransmissions per message before giving up (the original send is
     // not counted).
-    int retransmit_max = 5;
+    int retransmit_max = kRetransmitMax;
     // First retransmission fires after backoff_base (+ jitter); each
     // further one doubles the wait, saturating at backoff_max. The cap
     // keeps the doubling from overflowing Duration's tick count when a
@@ -99,10 +102,10 @@ class ReliableChannel {
     sim::EventId timer{};
   };
 
-  void send_reliable(SiteId to, Payload payload);
+  void send_reliable(SiteId to, Payload&& payload);
   void arm_timer(std::uint64_t seq, Pending& pending);
   void on_timer(std::uint64_t seq);
-  void handle_wrapped(SiteId from, ReliableMsg message);
+  void handle_wrapped(SiteId from, ReliableMsg& message);
   void handle_ack(std::uint64_t seq);
 
   MessageServer& server_;

@@ -46,22 +46,21 @@ sim::Task<std::optional<Payload>> RpcClient::call(
   co_return std::move(pending->response);
 }
 
-RpcServer::RpcServer(MessageServer& server, Handler handler)
-    : server_(server), handler_(std::move(handler)) {
-  server_.on<RpcRequestMsg>([this](SiteId from, RpcRequestMsg message) {
-    const std::uint64_t correlation = message.correlation;
-    const SiteId reply_to = message.reply_to;
-    if (!seen_[reply_to].insert(correlation).second) {
+RpcServer::RpcServer(MessageServer& server) : server_(server) {
+  server_.on<RpcRequestMsg>([this](SiteId from, RpcRequestMsg&& message) {
+    if (!seen_[message.reply_to].insert(message.correlation).second) {
       ++duplicates_;
       return;
     }
     ++served_;
-    handler_(from, std::move(message.payload),
-             Responder{&server_, correlation, reply_to});
+    const MsgTag tag = message.payload.tag();
+    if (tag >= handlers_.size() || !handlers_[tag]) return;
+    handlers_[tag](from, message.payload,
+                   Responder{&server_, message.correlation, message.reply_to});
   });
 }
 
-void RpcServer::Responder::operator()(Payload response) const {
+void RpcServer::Responder::operator()(Payload&& response) const {
   server_->send(reply_to_, RpcResponseMsg{correlation_, std::move(response)});
 }
 

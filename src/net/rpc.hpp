@@ -76,6 +76,10 @@ class RpcClient {
   std::uint64_t late_responses_ = 0;
 };
 
+// The server side: routes each request by payload type to the handler
+// registered for it, so several services (lock manager, data server, ...)
+// share one site's RPC endpoint. At most one RpcServer per MessageServer
+// (it owns the RpcRequestMsg handler slot).
 class RpcServer {
  public:
   // Invoke to answer the request; safe to call immediately or long after
@@ -84,7 +88,7 @@ class RpcServer {
   class Responder {
    public:
     Responder() = default;
-    void operator()(Payload response) const;
+    void operator()(Payload&& response) const;
 
    private:
     friend class RpcServer;
@@ -96,40 +100,16 @@ class RpcServer {
     std::uint64_t correlation_ = 0;
     SiteId reply_to_ = 0;
   };
-  using Handler =
-      std::function<void(SiteId from, Payload request, Responder respond)>;
 
-  RpcServer(MessageServer& server, Handler handler);
+  explicit RpcServer(MessageServer& server);
 
   RpcServer(const RpcServer&) = delete;
   RpcServer& operator=(const RpcServer&) = delete;
 
-  std::uint64_t requests_served() const { return served_; }
-  // Re-deliveries of an already-served (caller, correlation) pair; the
-  // handler must not run twice (it would, e.g., double-acquire a lock).
-  std::uint64_t duplicates_dropped() const { return duplicates_; }
-
- private:
-  MessageServer& server_;
-  Handler handler_;
-  std::unordered_map<SiteId, std::unordered_set<std::uint64_t>> seen_;
-  std::uint64_t served_ = 0;
-  std::uint64_t duplicates_ = 0;
-};
-
-// Routes RPC requests by payload type, so several services (lock manager,
-// data server, ...) can share one site's RPC endpoint.
-class RpcDispatcher {
- public:
-  explicit RpcDispatcher(MessageServer& server)
-      : server_{server, [this](SiteId from, Payload request,
-                               RpcServer::Responder respond) {
-                  dispatch(from, request, respond);
-                }} {}
-
   // Registers the handler for requests of type T, called as
-  // handler(SiteId from, T request, RpcServer::Responder respond). One
-  // handler per type.
+  // handler(SiteId from, T request, Responder respond). One handler per
+  // type; a request with no handler is never answered (its caller times
+  // out, or waits forever by design without a timeout).
   template <typename T, typename F>
   void on(F handler) {
     const MsgTag tag = msg_tag<T>();
@@ -138,30 +118,25 @@ class RpcDispatcher {
            "handler for this request type already registered");
     handlers_[tag] = [handler = std::move(handler)](
                          SiteId from, Payload& request,
-                         const RpcServer::Responder& respond) mutable {
+                         const Responder& respond) mutable {
       handler(from, std::move(request.get<T>()), respond);
     };
   }
 
-  std::uint64_t unhandled() const { return unhandled_; }
+  std::uint64_t requests_served() const { return served_; }
+  // Re-deliveries of an already-served (caller, correlation) pair; the
+  // handler must not run twice (it would, e.g., double-acquire a lock).
+  std::uint64_t duplicates_dropped() const { return duplicates_; }
 
  private:
-  using Handler = std::function<void(SiteId, Payload&,
-                                     const RpcServer::Responder&)>;
+  using Handler =
+      std::function<void(SiteId from, Payload& request, const Responder&)>;
 
-  void dispatch(SiteId from, Payload& request,
-                const RpcServer::Responder& respond) {
-    const MsgTag tag = request.tag();
-    if (tag >= handlers_.size() || !handlers_[tag]) {
-      ++unhandled_;
-      return;  // caller times out (or hangs by design without timeout)
-    }
-    handlers_[tag](from, request, respond);
-  }
-
-  RpcServer server_;
+  MessageServer& server_;
   std::vector<Handler> handlers_;  // by tag; empty = no handler
-  std::uint64_t unhandled_ = 0;
+  std::unordered_map<SiteId, std::unordered_set<std::uint64_t>> seen_;
+  std::uint64_t served_ = 0;
+  std::uint64_t duplicates_ = 0;
 };
 
 }  // namespace rtdb::net

@@ -198,5 +198,28 @@ TEST(PartitionedSchemeTest, ChaosAtScaleAccountsForEveryMessage) {
                 net.partition_drops() + net.fault_drops());
 }
 
+TEST(PartitionedSchemeTest, CrashFreesTheSlotsQueuedInTheInbox) {
+  // A crash scheduled by the config runs before that instant's deliveries,
+  // so it finds the inbox empty. This one lands between same-instant
+  // deliveries and the dispatcher's wake: the site's inbox still holds
+  // slots, and crash_site must free them with the inbox.
+  core::SystemConfig cfg = part_cfg();
+  core::System system{cfg};
+  net::Network& net = *system.network();
+  const net::SiteId victim = 1;
+  system.start();
+  while (net.inbox(victim).queued() == 0) {
+    ASSERT_TRUE(system.kernel().step()) << "no inbox ever queued a slot";
+  }
+  system.crash_site(victim);
+  system.kernel().run();
+
+  EXPECT_EQ(system.metrics().arrived, cfg.workload.transaction_count);
+  EXPECT_EQ(net.inbox(victim).queued(), 0u);
+  EXPECT_EQ(net.occupied_slots(), 0u);
+  EXPECT_EQ(net.messages_sent(),
+            net.messages_delivered() + net.messages_dropped());
+}
+
 }  // namespace
 }  // namespace rtdb::dist

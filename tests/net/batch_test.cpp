@@ -47,8 +47,8 @@ struct Pair {
             sim::RandomStream{7}.fork(0xCA01)),
         b0(ms0, &ch0, BatchChannel::Options{window}),
         b1(ms1, &ch1, BatchChannel::Options{window}) {
-    b1.on<PingMsg>([this](SiteId, PingMsg m) { pings.push_back(m.value); });
-    b1.on<PongMsg>([this](SiteId, PongMsg m) { pongs.push_back(m.value); });
+    ms1.on<PingMsg>([this](SiteId, PingMsg m) { pings.push_back(m.value); });
+    ms1.on<PongMsg>([this](SiteId, PongMsg m) { pongs.push_back(m.value); });
     ms0.start();
     ms1.start();
   }
@@ -108,7 +108,7 @@ TEST(BatchChannelTest, FlushSendsTheWindowEarly) {
 TEST(BatchChannelTest, IntraSiteSendsBypassTheWindow) {
   Pair p{tu(50)};
   std::vector<int> local;
-  p.b0.on<PongMsg>([&local](SiteId, PongMsg m) { local.push_back(m.value); });
+  p.ms0.on<PongMsg>([&local](SiteId, PongMsg m) { local.push_back(m.value); });
   p.b0.send(0, PongMsg{7});
   p.k.run();
   EXPECT_EQ(local, (std::vector<int>{7}));

@@ -209,7 +209,7 @@ struct Pair {
 TEST(SingleDispatchTableTest, OneHandlerServesDirectFramedAndWrappedSends) {
   Pair p;
   std::vector<int> pings;
-  p.b1.on<PingMsg>([&pings](SiteId from, PingMsg m) {
+  p.ms1.on<PingMsg>([&pings](SiteId from, PingMsg m) {
     EXPECT_EQ(from, 0u);
     pings.push_back(m.value);
   });

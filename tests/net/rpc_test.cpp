@@ -24,6 +24,7 @@ struct Harness {
   MessageServer ms0{k, net, 0};
   MessageServer ms1{k, net, 1};
   RpcClient client{ms0};
+  RpcServer server{ms1};
 
   Harness() {
     ms0.start();
@@ -33,11 +34,10 @@ struct Harness {
 
 TEST(RpcTest, ImmediateResponseRoundTrip) {
   Harness h;
-  RpcServer server{h.ms1, [](SiteId from, Payload request,
-                             RpcServer::Responder respond) {
+  h.server.on<int>([](SiteId from, int request, RpcServer::Responder respond) {
     EXPECT_EQ(from, 0u);
-    respond(request.get<int>() * 2);
-  }};
+    respond(request * 2);
+  });
   int got = 0;
   double at = -1;
   h.k.spawn("caller", [](Harness& h, int& got, double& at) -> Task<void> {
@@ -49,16 +49,16 @@ TEST(RpcTest, ImmediateResponseRoundTrip) {
   h.k.run();
   EXPECT_EQ(got, 42);
   EXPECT_EQ(at, 4.0);  // two one-way delays
-  EXPECT_EQ(server.requests_served(), 1u);
+  EXPECT_EQ(h.server.requests_served(), 1u);
   EXPECT_EQ(h.client.pending_calls(), 0u);
 }
 
 TEST(RpcTest, DeferredResponderRepliesLater) {
   Harness h;
   RpcServer::Responder saved;
-  RpcServer server{h.ms1, [&](SiteId, Payload, RpcServer::Responder respond) {
+  h.server.on<int>([&](SiteId, int, RpcServer::Responder respond) {
     saved = std::move(respond);  // grant deferred, like a blocked lock
-  }};
+  });
   double at = -1;
   h.k.spawn("caller", [](Harness& h, double& at) -> Task<void> {
     auto resp = co_await h.client.call(1, Payload{1});
@@ -72,9 +72,9 @@ TEST(RpcTest, DeferredResponderRepliesLater) {
 
 TEST(RpcTest, TimeoutReturnsNullopt) {
   Harness h;
-  RpcServer server{h.ms1, [](SiteId, Payload, RpcServer::Responder) {
+  h.server.on<int>([](SiteId, int, RpcServer::Responder) {
     // never responds
-  }};
+  });
   bool timed_out = false;
   h.k.spawn("caller", [](Harness& h, bool& timed_out) -> Task<void> {
     auto resp = co_await h.client.call(1, Payload{1}, Duration::units(10));
@@ -89,9 +89,9 @@ TEST(RpcTest, TimeoutReturnsNullopt) {
 TEST(RpcTest, LateResponseAfterTimeoutIsDropped) {
   Harness h;
   RpcServer::Responder saved;
-  RpcServer server{h.ms1, [&](SiteId, Payload, RpcServer::Responder respond) {
+  h.server.on<int>([&](SiteId, int, RpcServer::Responder respond) {
     saved = std::move(respond);
-  }};
+  });
   h.k.spawn("caller", [](Harness& h) -> Task<void> {
     auto resp = co_await h.client.call(1, Payload{1}, Duration::units(5));
     EXPECT_FALSE(resp.has_value());
@@ -107,9 +107,9 @@ TEST(RpcTest, LateResponseAfterTimeoutIsDropped) {
 TEST(RpcTest, KilledCallerResponseIsNotCountedLate) {
   Harness h;
   RpcServer::Responder saved;
-  RpcServer server{h.ms1, [&](SiteId, Payload, RpcServer::Responder respond) {
+  h.server.on<int>([&](SiteId, int, RpcServer::Responder respond) {
     saved = std::move(respond);
-  }};
+  });
   ProcessId caller = h.k.spawn("caller", [](Harness& h) -> Task<void> {
     co_await h.client.call(1, Payload{1});
     ADD_FAILURE() << "caller must not complete";
@@ -125,7 +125,7 @@ TEST(RpcTest, KilledCallerResponseIsNotCountedLate) {
 
 TEST(RpcTest, KilledCallerDeregisters) {
   Harness h;
-  RpcServer server{h.ms1, [](SiteId, Payload, RpcServer::Responder) {}};
+  h.server.on<int>([](SiteId, int, RpcServer::Responder) {});
   ProcessId caller = h.k.spawn("caller", [](Harness& h) -> Task<void> {
     co_await h.client.call(1, Payload{1});
     ADD_FAILURE() << "caller must not complete";
@@ -137,10 +137,9 @@ TEST(RpcTest, KilledCallerDeregisters) {
 
 TEST(RpcTest, ConcurrentCallsCorrelateCorrectly) {
   Harness h;
-  RpcServer server{h.ms1, [](SiteId, Payload request,
-                             RpcServer::Responder respond) {
-    respond(request.get<int>() + 100);
-  }};
+  h.server.on<int>([](SiteId, int request, RpcServer::Responder respond) {
+    respond(request + 100);
+  });
   std::vector<int> results(3, 0);
   for (int i = 0; i < 3; ++i) {
     h.k.spawn("caller", [](Harness& h, std::vector<int>& results, int i) -> Task<void> {
